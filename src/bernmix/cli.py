@@ -100,6 +100,8 @@ def read_grouped_csv(path):
             lo, up, cnt = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise CliInputError(f"{path}:{line_no}: {exc}") from exc
+        if not (math.isfinite(lo) and math.isfinite(up)):
+            raise CliInputError(f"{path}:{line_no}: lower and upper must be finite")
         if cnt < 0:
             raise CliInputError(f"{path}:{line_no}: negative count")
         if not lo < up:
@@ -150,8 +152,8 @@ def _parse_support(text):
         a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise CliInputError(f"--support must be 'a,b', got {text!r}") from exc
-    if not a < b:
-        raise CliInputError(f"--support needs a < b, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise CliInputError(f"--support needs finite a < b, got {text!r}")
     return (a, b)
 
 

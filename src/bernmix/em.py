@@ -14,13 +14,14 @@ them contributes the same responsibility, which is why the grouped update
 sums over cells rather than observations.
 """
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import basis_matrix
 from .likelihood import loglik_grouped, loglik_raw
-from .model import SimplexWeights, cell_basis_matrix, to_unit
+from .model import SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
 
 __all__ = [
     "EmConfig",
@@ -98,7 +99,8 @@ def em_step_grouped(p, cell_mat, counts):
 def _iterate(p0, step, config):
     p = np.asarray(p0, dtype=float)
     p_next, ll = step(p)
-    trace = [ll]
+    # array("d"): population fits run ~1e5 steps, a list of floats is 4x larger
+    trace = array("d", [ll])
     iterations = 0
     converged = False
     for _ in range(config.max_iter):
@@ -114,7 +116,7 @@ def _iterate(p0, step, config):
     residual = float(np.max(np.abs(p - p_next)))
     out = np.where(p < OUTPUT_WEIGHT_FLOOR, 0.0, p)
     weights = SimplexWeights(out / out.sum())
-    return weights, ll, iterations, np.asarray(trace), converged, residual
+    return weights, ll, iterations, np.array(trace), converged, residual
 
 
 def _resolve_init(config, m):
@@ -125,6 +127,21 @@ def _resolve_init(config, m):
             f"init has degree {config.init.m}, expected {m}"
         )
     return config.init.p
+
+
+def _em_weighted(mass_mat, row_weights, config):
+    """EM on a mass matrix whose rows carry nonnegative weights.
+
+    Rows are cells (weights = counts) or quadrature atoms (weights =
+    quadrature masses of a known density); rows of zero weight carry
+    nothing in the update and are dropped up front.  Returns the
+    _iterate tuple.
+    """
+    pos = row_weights > 0
+    mass_pos = mass_mat[pos]
+    w = np.asarray(row_weights, dtype=float)[pos]
+    p0 = _resolve_init(config, mass_mat.shape[1] - 1)
+    return _iterate(p0, lambda p: em_step_grouped(p, mass_pos, w), config)
 
 
 def em_raw(data, m, config=None):
@@ -154,18 +171,9 @@ def em_grouped(grouped, support, m, config=None):
     config = config or EmConfig()
     if grouped.n < 1:
         raise ValueError("need a positive total count")
-    u = to_unit(grouped.breakpoints, support)
-    if u[0] > 1e-9 or u[-1] < 1.0 - 1e-9:
-        raise ValueError("breakpoints must cover the full support")
-    u = u.copy()
-    u[0], u[-1] = 0.0, 1.0
-    a_mat = cell_basis_matrix(m, u)
-    pos = grouped.counts > 0
-    a_pos = a_mat[pos]
-    counts = grouped.counts[pos].astype(float)
-    p0 = _resolve_init(config, m)
-    weights, ll, iters, trace, conv, res = _iterate(
-        p0, lambda p: em_step_grouped(p, a_pos, counts), config
+    u = _covering_unit_breakpoints(grouped.breakpoints, support)
+    weights, ll, iters, trace, conv, res = _em_weighted(
+        cell_basis_matrix(m, u), grouped.counts, config
     )
     return FitReport(
         weights, loglik_grouped(weights, grouped, support), iters, trace, conv, res

@@ -39,6 +39,8 @@ class RawSample:
             raise ValueError(f"support must satisfy a < b, got [{a}, {b}]")
         if values.ndim != 1:
             raise ValueError("values must be a 1-d vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if values.size and (values.min() < a or values.max() > b):
             raise ValueError(f"values outside the support [{a}, {b}]")
         object.__setattr__(self, "values", values)
@@ -70,6 +72,8 @@ class RoundedSample:
             raise ValueError("grid density must be a positive integer")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         scaled = values * k
         if np.any(np.abs(scaled - np.round(scaled)) > 1e-12):
             raise ValueError("every value must be an integer multiple of 1/K")

@@ -54,6 +54,8 @@ class SimplexWeights:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("weights must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("mixture proportions must be finite")
         if np.any(p < 0.0):
             raise ValueError("mixture proportions must be nonnegative")
         if abs(p.sum() - 1.0) > SIMPLEX_SUM_TOL:
@@ -89,10 +91,14 @@ class GroupedSample:
         counts = np.asarray(self.counts)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("breakpoints must be finite")
         if np.any(np.diff(bp) <= 0.0):
             raise ValueError("breakpoints must be strictly increasing")
         if counts.ndim != 1 or counts.size != bp.size - 1:
             raise ValueError("counts must have one entry per cell")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0) or np.any(counts != np.floor(counts)):
             raise ValueError("counts must be nonnegative integers")
         object.__setattr__(self, "breakpoints", bp)
@@ -109,6 +115,19 @@ class GroupedSample:
     @property
     def widths(self):
         return np.diff(self.breakpoints)
+
+
+def _covering_unit_breakpoints(breakpoints, support):
+    """Breakpoints on the unit scale, checked to span the whole support.
+
+    The end breakpoints are snapped to exactly 0 and 1 so the cell
+    masses of any mixture sum to one.
+    """
+    u = to_unit(breakpoints, support)  # a fresh array: safe to snap in place
+    if u[0] > 1e-9 or u[-1] < 1.0 - 1e-9:
+        raise ValueError("breakpoints must cover the full support")
+    u[0], u[-1] = 0.0, 1.0
+    return u
 
 
 def cell_basis_matrix(m, unit_breakpoints):
@@ -135,11 +154,7 @@ def cell_probabilities(weights, breakpoints, support):
         theta_i = sum_j p_j {B_mj(u_i) - B_mj(u_{i-1})}, nonnegative and
         summing to 1 within 1e-12.
     """
-    u = to_unit(np.asarray(breakpoints, dtype=float), support)
-    if u[0] > 1e-9 or u[-1] < 1.0 - 1e-9:
-        raise ValueError("breakpoints must cover the full support")
-    u = u.copy()
-    u[0], u[-1] = 0.0, 1.0
+    u = _covering_unit_breakpoints(breakpoints, support)
     theta = cell_basis_matrix(weights.m, u) @ weights.p
     return np.clip(theta, 0.0, None)
 

@@ -127,7 +127,7 @@ def default_degrees(bound):
     return np.arange(lo, bound + 31)
 
 
-def select_degree(data, support=None, degrees=None, config=None, warm_start=True):
+def select_degree(data, support=None, degrees=None, config=None):
     """Fit the MBLE at every degree in a consecutive set and pick one.
 
     Parameters
@@ -138,11 +138,9 @@ def select_degree(data, support=None, degrees=None, config=None, warm_start=True
         Consecutive degrees m_0..m_0+k with k >= 2.  Default is the
         moment lower bound minus 5 (floored at 1) through bound plus 30.
     config : EmConfig, optional
-    warm_start : bool
-        Start each fit from the degree-elevated previous solution mixed
-        with 1% uniform (keeps strict positivity); the scan then runs
-        sequentially.  With warm_start=False every fit starts from the
-        config init independently.
+        Its init, if any, starts the first fit; every later fit starts
+        from the degree-elevated previous solution mixed with 1% uniform
+        (keeps strict positivity), so the scan runs sequentially.
 
     Returns
     -------
@@ -188,7 +186,7 @@ def select_degree(data, support=None, degrees=None, config=None, warm_start=True
     prev = None
     for m in degrees:
         cfg = config
-        if warm_start and prev is not None:
+        if prev is not None:
             lifted = prev.elevate(1).p
             mixed = (1.0 - WARM_START_UNIFORM_SHARE) * lifted
             mixed = mixed + WARM_START_UNIFORM_SHARE / (m + 1)

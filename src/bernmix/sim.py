@@ -8,12 +8,10 @@ as mixture draws).
 
 Determinism contract: replicate r of a run with seed s uses the generator
 seeded by (s, r), and replicate results are reduced in replicate order,
-so outputs are bit-reproducible regardless of worker count.
+so outputs are bit-reproducible.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -23,7 +21,8 @@ from scipy.special import ndtr
 
 from . import baselines
 from .basis import basis_matrix
-from .errors import HarnessError
+from .em import EmConfig, _em_weighted
+from .errors import HarnessError, SelectionError
 from .likelihood import RawSample
 from .model import GroupedSample
 from .select import select_degree
@@ -314,17 +313,6 @@ def _fit_curve(kind, spec, data, grid):
     raise ValueError(f"unknown estimator {kind!r}")
 
 
-def _worker_count():
-    raw = os.environ.get("BERNSTEIN_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"BERNSTEIN_THREADS must be an integer, got {raw!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def mise(spec, estimator, points=2001):
     """Monte Carlo MISE of one estimator under one scenario.
 
@@ -333,8 +321,10 @@ def mise(spec, estimator, points=2001):
     quadrature runs on the unit scale and the plain MISE is then reported
     in original-scale units (divide by the truncation width) so values
     are comparable across truncations.  The weighted MISE (weight 1/f) is
-    scale-invariant and needs no conversion.  Replicate failures are
-    skipped and counted; more than 5% of them aborts the run.
+    scale-invariant and needs no conversion.  Replicate fit failures
+    (ValueError, SelectionError, FloatingPointError) are skipped and
+    counted; more than 5% of them aborts the run.  Any other exception
+    propagates.
     """
     kind = _ESTIMATOR_ALIASES.get(estimator)
     if kind is None:
@@ -353,24 +343,12 @@ def mise(spec, estimator, points=2001):
             degree,
         )
 
-    workers = _worker_count()
-    results = [None] * spec.replicates
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {rep: pool.submit(one, rep) for rep in range(spec.replicates)}
-            for rep in range(spec.replicates):
-                try:
-                    results[rep] = futures[rep].result()
-                except Exception:
-                    results[rep] = None
-    else:
-        for rep in range(spec.replicates):
-            try:
-                results[rep] = one(rep)
-            except Exception:
-                results[rep] = None
-
-    ok = [r for r in results if r is not None]
+    ok = []
+    for rep in range(spec.replicates):
+        try:
+            ok.append(one(rep))
+        except (ValueError, SelectionError, FloatingPointError):
+            pass
     failures = spec.replicates - len(ok)
     if failures > MAX_FAILURE_SHARE * spec.replicates:
         raise HarnessError(
@@ -404,24 +382,13 @@ def best_mixture_approximation(pdf, m, nodes=512, tol=1e-15, max_iter=2_000_000)
     the quantity of interest.
     """
     from numpy.polynomial.legendre import leggauss
-    from .em import em_step_grouped
-    from .model import SimplexWeights
 
     x, w = leggauss(nodes)
     t = 0.5 * (x + 1.0)
     mass = 0.5 * w * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    b = basis_matrix(m, t)
-    p = np.full(m + 1, 1.0 / (m + 1))
-    ll_prev = -np.inf
-    for _ in range(max_iter):
-        p, ll = em_step_grouped(p, b, mass)
-        if abs(ll - ll_prev) < tol * (1.0 + abs(ll)):
-            break
-        ll_prev = ll
-    p = np.maximum(p, 0.0)
-    return SimplexWeights(p / p.sum())
+    return _em_weighted(basis_matrix(m, t), mass, EmConfig(tol=tol, max_iter=max_iter))[0]
 
 
 def _inverse_cdf_sampler(pdf, grid_points=4001):

@@ -71,6 +71,24 @@ class TestFit:
         write(path, "0.1\n0.4\n0.7\n")
         assert main(["fit", "--raw", str(path), "--degree", "1", "--out", "m.json"]) == 2
 
+    def test_nan_raw_value_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "raw.txt"
+        write(path, "0.12\n0.37\nnan\n0.55\n")
+        out = tmp_path / "m.json"
+        code = main(["fit", "--raw", str(path), "--support", "0,1", "--degree", "3", "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_cell_bound_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        write(path, "lower,upper,count\n0,0.5,3\n0.5,inf,4\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--grouped", str(path), "--degree", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ":3:" in err and "finite" in err
+        assert not out.exists()
+
     def test_raw_and_rounded_fit(self, tmp_path):
         path = tmp_path / "raw.txt"
         rng = np.random.default_rng(1)

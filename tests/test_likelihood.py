@@ -45,6 +45,12 @@ class TestRawLoglik:
         assert loglik_raw(SimplexWeights(np.array([1.0, 0.0])), data) == -np.inf
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sample_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RawSample(np.array([0.2, bad, 0.7]))
+
+
 class TestGroupedLoglik:
     def test_uniform_four_cells(self):
         g = GroupedSample(np.linspace(0, 1, 5), [1, 1, 1, 1])
@@ -101,6 +107,11 @@ class TestRoundedLoglik:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             RoundedSample(np.array([0.05, 0.5]), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_sample_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RoundedSample(np.array([0.5, bad]), 10)
 
 
 class TestGroupedRawLimit:

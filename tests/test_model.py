@@ -39,6 +39,11 @@ class TestSimplexWeights:
         with pytest.raises(ValueError):
             SimplexWeights(np.array([0.5, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SimplexWeights(np.array([0.5, bad, 0.5]))
+
     def test_uniform(self):
         w = SimplexWeights.uniform(4)
         assert w.m == 4
@@ -143,6 +148,15 @@ class TestGroupedSample:
             GroupedSample([0.0, 1.0], [-1])
         with pytest.raises(ValueError):
             GroupedSample([0.0, 0.5, 1.0], [1.5, 2])
+        with pytest.raises(ValueError):
+            GroupedSample([0.0, 0.5, 1.0], [np.inf, 2])
+
+    @pytest.mark.parametrize(
+        "bp", [[0.0, 0.25, np.nan, 0.75, 1.0], [0.0, 0.5, np.nan], [0.0, 0.5, np.inf]]
+    )
+    def test_rejects_non_finite_breakpoints(self, bp):
+        with pytest.raises(ValueError, match="finite"):
+            GroupedSample(bp, np.ones(len(bp) - 1, dtype=int))
 
     def test_totals(self):
         g = GroupedSample([0.0, 0.5, 1.0], [3, 4])

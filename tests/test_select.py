@@ -12,6 +12,7 @@ from bernmix import (
     SelectionError,
     SimplexWeights,
     change_point,
+    em_raw,
     group,
     lower_bound_degree,
     select_degree,
@@ -124,10 +125,11 @@ class TestSelectDegree:
         rng = np.random.default_rng(8)
         x = rng.beta(2, 4, size=300)
         data = RawSample(x)
-        warm = select_degree(data, degrees=range(1, 8), warm_start=True)
-        cold = select_degree(data, degrees=range(1, 8), warm_start=False)
-        np.testing.assert_allclose(warm.logliks, cold.logliks, atol=1e-4)
-        assert warm.m_hat == cold.m_hat
+        warm = select_degree(data, degrees=range(1, 8))
+        cold = np.array([em_raw(data, m).loglik for m in range(1, 8)])
+        np.testing.assert_allclose(warm.logliks, cold, atol=1e-4)
+        tau_hat, _ = change_point(cold)
+        assert warm.m_hat == warm.degrees[tau_hat]
 
     def test_warns_when_start_not_below_bound(self):
         rng = np.random.default_rng(4)

@@ -123,15 +123,6 @@ class TestMise:
         with pytest.raises(ValueError):
             mise(spec_for("exp1"), "magic")
 
-    def test_thread_cap_reproduces_serial(self, monkeypatch):
-        spec = spec_for("uniform01", n=100, cells=5, replicates=4, seed=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = mise(spec, "kernel")
-            monkeypatch.setenv("BERNSTEIN_THREADS", "2")
-            threaded = mise(spec, "kernel")
-        assert serial == threaded
-
     def test_mble_beats_kernel_on_logistic(self):
         # the companion normal01 ordering runs in the acceptance suite
         spec = ScenarioSpec(
@@ -152,6 +143,16 @@ class TestMise:
         spec = spec_for("uniform01", n=1, cells=5, replicates=3)
         with pytest.raises(HarnessError):
             mise(spec, "mble")
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        import bernmix.sim
+
+        def broken(*args):
+            raise TypeError("bug in a fit")
+
+        monkeypatch.setattr(bernmix.sim, "_fit_curve", broken)
+        with pytest.raises(TypeError, match="bug in a fit"):
+            mise(spec_for("uniform01", n=50, cells=5, replicates=2), "kernel")
 
 
 class TestAcceptanceRejection:
@@ -180,6 +181,18 @@ class TestAcceptanceRejection:
             _, kept = acceptance_rejection_diag(f, w, n=20_000, seed=5)
             kepts.append(kept)
         assert kepts[0] < kepts[1] < kepts[2]
+
+    def test_population_fit_recovers_exact_mixture(self):
+        # the KL projection of a degree-4 mixture onto degree 4 is itself
+        from bernmix import basis_matrix
+
+        p_true = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        pdf = lambda t: basis_matrix(4, np.atleast_1d(t)) @ p_true
+        w = best_mixture_approximation(pdf, 4)
+        # the loglik is flat at the optimum: the stop leaves the weights ~1e-6 off
+        np.testing.assert_allclose(w.p, p_true, atol=1e-5)
+        c, _ = acceptance_rejection_diag(pdf, w, n=1000, seed=6)
+        assert c == pytest.approx(1.0, abs=1e-5)
 
     def test_nonpositive_truth_rejected(self):
         w = SimplexWeights(np.array([1.0]))
