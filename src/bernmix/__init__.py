@@ -3,10 +3,11 @@
 Estimates a univariate density from grouped (binned) or raw continuous
 data on a truncated support: the density is modeled as a mixture of the
 m+1 beta densities beta(j+1, m-j+1), the mixture proportions are fitted
-by EM, and the degree m is chosen by a change-point scan over the
-loglikelihood gains of the nested models.  Baseline estimators (normal
-kernel, parametric grouped MLE) and a Monte Carlo MISE harness round out
-the toolkit.
+by EM (em_raw, em_grouped), and the degree m is chosen by a change-point
+scan over the loglikelihood gains of the nested models, each fitted to a
+certified optimality gap by an active-set SQP solver (select_degree).
+Baseline estimators (normal kernel, parametric grouped MLE) and a Monte
+Carlo MISE harness round out the toolkit.
 """
 
 __version__ = "0.1.0"

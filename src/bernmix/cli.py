@@ -6,7 +6,8 @@ Grouped CSV: header "lower,upper,count", one contiguous cell per row
 (upper of row i must equal lower of row i+1), sorted ascending.
 Raw data: plain text, one number per line; blank lines ignored.
 Model JSON: degree, weights, support, loglik, converged, plus the
-selection trace when --select produced the model.
+selection trace (with each fit's gap and step count) when --select
+produced the model.
 MISE CSV columns: scenario,n,cells,estimator,mise,weighted_mise,
 degree_mean,degree_var,replicates.
 
@@ -207,6 +208,8 @@ def _selection_doc(trace):
         "logliks": [float(v) for v in trace.logliks],
         "increments": [float(v) for v in trace.increments],
         "r_profile": [float(v) for v in trace.r_profile],
+        "gaps": [float(f.gap) for f in trace.fits],
+        "steps": [int(f.iterations) for f in trace.fits],
         "tau_hat": int(trace.tau_hat),
         "m_hat": int(trace.m_hat),
     }
@@ -217,7 +220,6 @@ def cmd_fit(args):
         raise CliInputError("exactly one of --grouped/--raw is required")
     if (args.degree is None) == (not args.select):
         raise CliInputError("exactly one of --degree/--select is required")
-    config = EmConfig(tol=args.tol, max_iter=args.max_iter)
     degrees = _parse_degrees(args.degrees) if args.degrees else None
 
     if args.grouped is not None:
@@ -242,22 +244,25 @@ def cmd_fit(args):
 
     selection = None
     if args.select:
-        if isinstance(data, GroupedSample):
-            trace = select_degree(data, support, degrees=degrees, config=config)
-        else:
-            trace = select_degree(data, degrees=degrees, config=config)
+        trace = select_degree(data, support, degrees=degrees)
         selection = _selection_doc(trace)
         report = trace.best_fit
-    elif isinstance(data, GroupedSample):
-        report = em_grouped(data, support, args.degree, config)
     else:
-        report = em_raw(data, args.degree, config)
+        config = EmConfig(tol=args.tol, max_iter=args.max_iter)
+        if isinstance(data, GroupedSample):
+            report = em_grouped(data, support, args.degree, config)
+        else:
+            report = em_raw(data, args.degree, config)
 
     write_model_json(
         args.out, report.weights, support, report.loglik, report.converged, selection
     )
     if not report.converged:
-        print(f"fit did not converge within {args.max_iter} iterations", file=sys.stderr)
+        print(
+            f"fit did not converge within {report.iterations} steps "
+            f"(optimality gap {report.gap:.3g})",
+            file=sys.stderr,
+        )
         return EXIT_NONCONVERGED
     return EXIT_OK
 
@@ -378,8 +383,15 @@ def build_parser():
     fit.add_argument("--select", action="store_true", help="select the degree by change point")
     fit.add_argument("--degrees", help="degree range for --select, e.g. 2..50")
     fit.add_argument("--rounded", type=int, metavar="K", help="treat raw values as rounded to i/K")
-    fit.add_argument("--tol", type=float, default=1e-8, help="relative loglik stopping threshold")
-    fit.add_argument("--max-iter", type=int, default=100_000, help="EM iteration cap")
+    fit.add_argument(
+        "--tol", type=float, default=1e-8,
+        help="EM relative loglik stopping threshold (--degree fits only; "
+        "--select fits stop on a certified optimality gap)",
+    )
+    fit.add_argument(
+        "--max-iter", type=int, default=100_000,
+        help="EM iteration cap (--degree fits only)",
+    )
     fit.add_argument("--out", required=True, help="output model JSON path")
     fit.set_defaults(func=cmd_fit)
 

@@ -1,17 +1,29 @@
-"""EM fixed-point iteration for the maximum Bernstein likelihood estimate.
+"""Weight solvers for the maximum Bernstein likelihood estimate.
 
-Both updates are the classic multiplicative EM maps: responsibilities of
-the m+1 beta components are averaged over observations (raw data) or over
-populated cells weighted by their counts (grouped data).  Starting from
-any strictly positive simplex point the iteration converges to the unique
-maximizer of the corresponding loglikelihood, so the default init is the
-uniform weight vector.
+Every fit maximises sum_i w_i log (A p)_i over the m-simplex, where row i
+of the mass matrix A holds the m+1 basis densities at a raw observation
+(w_i = 1) or the m+1 basis masses of a cell (w_i = its count).  The
+loglik is concave in p, so the gradient g = A^T (w / A p) / n (n = sum
+w) gives a free certificate: the loglik of p is at most
+n (max_j g_j - 1) below the maximum (the Lindsay/Boehning gradient
+bound).  Every FitReport carries that gap at its returned weights.
 
-The per-observation responsibility of component j (the conditional
-expectation of its membership indicator) appears here only through its
-collapsed per-cell form; with n_l observations in cell l every one of
-them contributes the same responsibility, which is why the grouped update
-sums over cells rather than observations.
+Two solvers share this form:
+
+- EM, the paper's algorithm (em_raw, em_grouped, and the population fit
+  of the acceptance-rejection diagnostic): the multiplicative map
+  p_j <- p_j g_j from a strictly positive start, which converges to the
+  maximiser.  It stops when the relative loglik change
+  |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol, or after
+  EmConfig.max_iter updates; that stop says nothing about the gap.
+- The certified solver behind every fit of a degree scan
+  (select_degree): active-set SQP on the mixSQP form of the problem
+  (Kim, Carbonetto, Stephens and Anitescu, JCGS 2020).  It stops when
+  the gap is at most GAP_TOL, or after SQP_MAX_STEPS outer steps.
+
+With n_l observations in cell l every one of them has the same
+responsibility, which is why the grouped EM update sums over cells
+rather than observations.
 """
 
 from array import array
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix
-from .likelihood import loglik_grouped, loglik_raw
+from .likelihood import RawSample, loglik_grouped, loglik_raw
 from .model import SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
 
 __all__ = [
@@ -33,6 +45,19 @@ __all__ = [
 ]
 
 OUTPUT_WEIGHT_FLOOR = 1e-12
+
+# certified solver: stop at this gap (nats), or after this many outer steps
+GAP_TOL = 1e-8
+SQP_MAX_STEPS = 200
+# ridge added to the Hessian diagonal, as a share of its mean diagonal entry
+SQP_RIDGE = 1e-8
+# a bound entry whose QP gradient is above -QP_TOL stays at 0
+QP_TOL = 1e-14
+# Armijo sufficient-decrease share of the predicted decrease
+ARMIJO = 0.01
+# the SQP objective is O(1); a decrease below this is rounding, and a
+# Newton step that close to the optimum is taken whole
+OBJECTIVE_ROUNDING = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,11 +86,17 @@ class EmConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one EM fit.
+    """Outcome of one fit.
 
-    loglik_trace[s] is the loglik of the s-th iterate (index 0 is the
-    init), so it is nondecreasing; residual is the max-norm change one
-    extra update would make to the returned weights.
+    iterations counts EM updates, or outer SQP steps for the fits of a
+    degree scan.  loglik_trace[s] is the loglik of the s-th iterate
+    (index 0 is the init); for EM it is nondecreasing.  residual is the
+    max-norm change one extra EM update would make to the returned
+    weights, or the max-norm of the last SQP step.  gap is
+    n (max_j g_j - 1) at the returned weights, an upper bound on how far
+    loglik sits below the maximum.  stop_reason is "converged" (EM: the
+    relative loglik change fell below tol; SQP: the gap reached GAP_TOL)
+    or "max_iter".
     """
 
     weights: SimplexWeights
@@ -74,6 +105,8 @@ class FitReport:
     loglik_trace: np.ndarray
     converged: bool
     residual: float
+    gap: float
+    stop_reason: str
 
 
 def em_step_raw(p, basis_mat):
@@ -82,18 +115,29 @@ def em_step_raw(p, basis_mat):
     The mean responsibility collapses to p_j * sum_i B_ij/dens_i / n,
     so the update is two matrix-vector products.
     """
-    dens = basis_mat @ p
-    loglik = float(np.log(dens).sum())
-    p_next = p * (basis_mat.T @ (1.0 / dens)) / dens.size
+    dens = np.dot(basis_mat, p)
+    inv = 1.0 / dens
+    loglik = float(np.add.reduce(np.log(dens, out=dens)))
+    p_next = np.dot(inv, basis_mat)
+    p_next *= p
+    p_next /= dens.size
     return p_next, loglik
 
 
 def em_step_grouped(p, cell_mat, counts):
     """One grouped-data EM update over the populated cells only."""
-    theta = cell_mat @ p
-    loglik = float(counts @ np.log(theta))
-    p_next = p * (cell_mat.T @ (counts / theta)) / counts.sum()
+    theta = np.dot(cell_mat, p)
+    ratio = counts / theta
+    loglik = float(np.dot(counts, np.log(theta, out=theta)))
+    p_next = np.dot(ratio, cell_mat)
+    p_next *= p
+    p_next /= np.add.reduce(counts)
     return p_next, loglik
+
+
+def _output_weights(p):
+    out = np.where(p < OUTPUT_WEIGHT_FLOOR, 0.0, p)
+    return SimplexWeights(out / out.sum())
 
 
 def _iterate(p0, step, config):
@@ -101,22 +145,18 @@ def _iterate(p0, step, config):
     p_next, ll = step(p)
     # array("d"): population fits run ~1e5 steps, a list of floats is 4x larger
     trace = array("d", [ll])
-    iterations = 0
-    converged = False
-    for _ in range(config.max_iter):
+    append, tol = trace.append, config.tol
+    iterations, converged = 0, False
+    for iterations in range(1, config.max_iter + 1):
         p = p_next
         p_next, ll_new = step(p)
-        trace.append(ll_new)
-        iterations += 1
-        if abs(ll_new - ll) / (1.0 + abs(ll)) < config.tol:
-            converged = True
-            ll = ll_new
-            break
+        append(ll_new)
+        converged = abs(ll_new - ll) / (1.0 + abs(ll)) < tol
         ll = ll_new
+        if converged:
+            break
     residual = float(np.max(np.abs(p - p_next)))
-    out = np.where(p < OUTPUT_WEIGHT_FLOOR, 0.0, p)
-    weights = SimplexWeights(out / out.sum())
-    return weights, ll, iterations, np.array(trace), converged, residual
+    return _output_weights(p), ll, iterations, np.array(trace), converged, residual
 
 
 def _resolve_init(config, m):
@@ -129,19 +169,158 @@ def _resolve_init(config, m):
     return config.init.p
 
 
+def _populated(mass_mat, row_weights):
+    """Rows of positive weight: rows of zero weight carry nothing."""
+    pos = row_weights > 0
+    return mass_mat[pos], np.asarray(row_weights, dtype=float)[pos]
+
+
 def _em_weighted(mass_mat, row_weights, config):
     """EM on a mass matrix whose rows carry nonnegative weights.
 
     Rows are cells (weights = counts) or quadrature atoms (weights =
-    quadrature masses of a known density); rows of zero weight carry
-    nothing in the update and are dropped up front.  Returns the
-    _iterate tuple.
+    quadrature masses of a known density).  Returns the _iterate tuple.
     """
-    pos = row_weights > 0
-    mass_pos = mass_mat[pos]
-    w = np.asarray(row_weights, dtype=float)[pos]
+    mass, w = _populated(mass_mat, row_weights)
     p0 = _resolve_init(config, mass_mat.shape[1] - 1)
-    return _iterate(p0, lambda p: em_step_grouped(p, mass_pos, w), config)
+    return _iterate(p0, lambda p: em_step_grouped(p, mass, w), config)
+
+
+def _nonnegative_qp(h, c, y):
+    """min 0.5 y'Hy + c'y subject to y >= 0, by a primal active-set loop.
+
+    Starts from the feasible point y with its support as the free set.
+    Each pass minimises over the free set with the others held at 0;
+    a minimiser with a negative entry is approached until the first free
+    entry hits 0, which leaves the free set, and a feasible one releases
+    the bound entry of most negative gradient, or is the answer.
+    """
+    k = c.size
+    free = y > 0.0
+    # each pass frees or fixes one entry; the cap guards against cycling
+    # on rounding when a released entry comes straight back
+    for _ in range(4 * k + 10):
+        z = np.zeros(k)
+        idx = np.flatnonzero(free)
+        if idx.size:
+            z[idx] = np.linalg.solve(h[np.ix_(idx, idx)], -c[idx])
+        blocked = np.flatnonzero(free & (z < 0.0))
+        if blocked.size == 0:
+            y = z
+            grad = h @ y + c
+            grad[free] = np.inf
+            j = int(np.argmin(grad))
+            if grad[j] >= -QP_TOL:
+                break
+            free[j] = True
+        else:
+            t = y[blocked] / (y[blocked] - z[blocked])
+            i = int(np.argmin(t))
+            y = y + t[i] * (z - y)
+            y[blocked[i]] = 0.0
+            free &= y > 0.0
+    return y
+
+
+def _sqp_weighted(mass_mat, row_weights, p0):
+    """Certified weights of a mass matrix whose rows carry nonnegative weights.
+
+    Minimises f(x) = -sum_i v_i log (A x)_i + sum_j x_j over x >= 0 with
+    v = w / n, whose minimiser is the simplex maximiser of the loglik.
+    Each outer step solves the Newton QP
+    min 0.5 y'Hy + (grad f - Hx)'y, y >= 0, with H = A' diag(v/theta^2) A
+    plus a small ridge, then backtracks along y - x until the Armijo
+    condition holds.  It stops once n (max_j (A'(v/theta))_j sum x - 1),
+    the gap at x / sum x, is at most GAP_TOL.  Returns the _iterate
+    tuple; iterations counts outer steps.
+    """
+    a, w = _populated(mass_mat, row_weights)
+    n = w.sum()
+    v = w / n
+    x = np.array(p0, dtype=float)
+    k = x.size
+    theta = a @ x
+    f = x.sum() - v @ np.log(theta)
+    trace = array("d")
+    converged, step_norm, steps = False, 0.0, 0
+    while True:
+        u = a.T @ (v / theta)
+        total = x.sum()
+        trace.append(n * (v @ np.log(theta) - np.log(total)))
+        if n * (total * u.max() - 1.0) <= GAP_TOL:
+            converged = True
+            break
+        if steps == SQP_MAX_STEPS:
+            break
+        steps += 1
+        grad = 1.0 - u
+        scaled = a * (np.sqrt(v) / theta)[:, None]
+        h = scaled.T @ scaled
+        h.flat[:: k + 1] += SQP_RIDGE * np.trace(h) / k
+        d = _nonnegative_qp(h, grad - h @ x, x) - x
+        slope = grad @ d
+        alpha = 1.0
+        # ends: as alpha -> 0 the trial point tends to x, which the
+        # rounding allowance accepts
+        while True:
+            x_new = x + alpha * d
+            theta_new = a @ x_new
+            if np.all(theta_new > 0.0):
+                f_new = x_new.sum() - v @ np.log(theta_new)
+                if f_new <= f + ARMIJO * alpha * slope + OBJECTIVE_ROUNDING * (1.0 + abs(f)):
+                    break
+            alpha *= 0.5
+        step_norm = alpha * float(np.max(np.abs(d)))
+        x, theta, f = x_new, theta_new, f_new
+    return _output_weights(x / total), trace[-1], steps, np.array(trace), converged, step_norm
+
+
+def _gap(mass_mat, row_weights, p):
+    """n (max_j g_j - 1) at p, g = A^T (w / A p) / n; inf if a row has mass 0."""
+    a, w = _populated(mass_mat, row_weights)
+    theta = a @ p
+    if not np.all(theta > 0.0):
+        return float("inf")
+    return float(np.max(a.T @ (w / theta)) - w.sum())
+
+
+def _report(solved, mass_mat, row_weights, loglik):
+    """FitReport of a solver tuple; loglik(weights) recomputes the loglik."""
+    weights, _, iterations, trace, converged, residual = solved
+    return FitReport(
+        weights,
+        loglik(weights),
+        iterations,
+        trace,
+        converged,
+        residual,
+        _gap(mass_mat, row_weights, weights.p),
+        "converged" if converged else "max_iter",
+    )
+
+
+def _raw_problem(data, m):
+    if data.n == 0:
+        raise ValueError("need at least one observation")
+    return basis_matrix(m, data.unit_values()), np.ones(data.n)
+
+
+def _grouped_problem(grouped, support, m):
+    if grouped.n < 1:
+        raise ValueError("need a positive total count")
+    u = _covering_unit_breakpoints(grouped.breakpoints, support)
+    return cell_basis_matrix(m, u), grouped.counts
+
+
+def _certified_fit(data, support, m, p0):
+    """Degree-m fit of a RawSample or GroupedSample by the certified solver."""
+    if isinstance(data, RawSample):
+        a, w = _raw_problem(data, m)
+        return _report(_sqp_weighted(a, w, p0), a, w, lambda wt: loglik_raw(wt, data))
+    a, w = _grouped_problem(data, support, m)
+    return _report(
+        _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_grouped(wt, data, support)
+    )
 
 
 def em_raw(data, m, config=None):
@@ -152,14 +331,10 @@ def em_raw(data, m, config=None):
     converged=False, not an error.
     """
     config = config or EmConfig()
-    if data.n == 0:
-        raise ValueError("need at least one observation")
-    b = basis_matrix(m, data.unit_values())
+    b, w = _raw_problem(data, m)
     p0 = _resolve_init(config, m)
-    weights, ll, iters, trace, conv, res = _iterate(
-        p0, lambda p: em_step_raw(p, b), config
-    )
-    return FitReport(weights, loglik_raw(weights, data), iters, trace, conv, res)
+    solved = _iterate(p0, lambda p: em_step_raw(p, b), config)
+    return _report(solved, b, w, lambda wt: loglik_raw(wt, data))
 
 
 def em_grouped(grouped, support, m, config=None):
@@ -169,12 +344,7 @@ def em_grouped(grouped, support, m, config=None):
     weight in the update and are dropped up front.
     """
     config = config or EmConfig()
-    if grouped.n < 1:
-        raise ValueError("need a positive total count")
-    u = _covering_unit_breakpoints(grouped.breakpoints, support)
-    weights, ll, iters, trace, conv, res = _em_weighted(
-        cell_basis_matrix(m, u), grouped.counts, config
-    )
-    return FitReport(
-        weights, loglik_grouped(weights, grouped, support), iters, trace, conv, res
+    a, w = _grouped_problem(grouped, support, m)
+    return _report(
+        _em_weighted(a, w, config), a, w, lambda wt: loglik_grouped(wt, grouped, support)
     )

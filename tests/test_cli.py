@@ -65,6 +65,9 @@ class TestFit:
         assert sel["degrees"] == [1, 2, 3, 4, 5, 6]
         assert sel["m_hat"] == doc["degree"]
         assert len(sel["r_profile"]) == 5
+        assert len(sel["gaps"]) == len(sel["steps"]) == 6
+        assert all(0.0 <= g <= 1e-6 for g in sel["gaps"])
+        assert all(isinstance(k, int) and k >= 0 for k in sel["steps"])
 
     def test_raw_fit_needs_support(self, tmp_path, capsys):
         path = tmp_path / "raw.txt"

@@ -14,7 +14,7 @@ from bernmix import (
     loglik_grouped,
     loglik_raw,
 )
-from bernmix.em import em_step_grouped, em_step_raw
+from bernmix.em import _certified_fit, em_step_grouped, em_step_raw
 from bernmix.model import cell_basis_matrix
 
 
@@ -165,10 +165,74 @@ class TestEmProperties:
         data = RawSample(rng.beta(2, 2, size=300))
         rep = em_raw(data, 10, EmConfig(tol=1e-14, max_iter=5))
         assert not rep.converged
+        assert rep.stop_reason == "max_iter"
         assert rep.iterations == 5
+        assert rep.gap > 1e-3
+
+    def test_gap_is_the_gradient_bound_at_the_weights(self):
+        rng = np.random.default_rng(10)
+        data = RawSample(rng.beta(2, 5, size=200))
+        rep = em_raw(data, 6)
+        assert rep.stop_reason == "converged"
+        b = basis_matrix(6, data.unit_values())
+        g = b.T @ (1.0 / (b @ rep.weights.p)) / data.n
+        assert rep.gap == pytest.approx(data.n * (g.max() - 1.0), rel=1e-9, abs=1e-12)
+        assert rep.gap >= 0.0
+        # the gap bounds the loglik distance to a tightly converged fit
+        tight = em_raw(data, 6, EmConfig(tol=1e-13, max_iter=300_000))
+        assert 0.0 <= tight.loglik - rep.loglik <= rep.gap + 1e-9
+
+        g_data = group(data, 12)
+        rep = em_grouped(g_data, (0, 1), 4)
+        a_mat = cell_basis_matrix(4, g_data.breakpoints)
+        pos = g_data.counts > 0
+        grad = a_mat[pos].T @ (g_data.counts[pos] / (a_mat[pos] @ rep.weights.p))
+        assert rep.gap == pytest.approx(grad.max() - g_data.n, rel=1e-9, abs=1e-12)
 
     def test_grouped_empty_cells_are_skipped(self):
         g = GroupedSample(np.linspace(0, 1, 11), [0, 0, 12, 30, 18, 0, 0, 0, 0, 0])
         rep = em_grouped(g, (0, 1), 3)
         assert rep.converged
         assert np.isfinite(rep.loglik)
+
+
+class TestCertifiedSolver:
+    def test_agrees_with_tight_em(self):
+        # the certified solver reaches at least the loglik of EM run to a
+        # 1e-13 relative change, and certifies its own gap
+        rng = np.random.default_rng(31)
+        for i in range(16):
+            m = int(rng.integers(0, 16))
+            n = int(rng.integers(20, 301))
+            truth = SimplexWeights(rng.dirichlet(np.ones(m + 1)))
+            data = RawSample(BernsteinMixture(truth).sample(n, seed=300 + i))
+            tight = EmConfig(tol=1e-13, max_iter=300_000)
+            uniform = np.full(m + 1, 1.0 / (m + 1))
+            if i % 2:
+                ref = em_raw(data, m, tight)
+                rep = _certified_fit(data, data.support, m, uniform)
+            else:
+                g = group(data, int(rng.integers(5, 31)))
+                ref = em_grouped(g, (0, 1), m, tight)
+                rep = _certified_fit(g, (0.0, 1.0), m, uniform)
+            assert rep.stop_reason == "converged"
+            assert rep.loglik >= ref.loglik - 1e-9
+            assert rep.gap <= 1e-8
+            assert abs(rep.weights.p.sum() - 1.0) < 1e-12
+
+    def test_boundary_points_and_empty_cells(self):
+        # points at 0 and 1 have mass under one basis density only, and a
+        # degree well above the populated cell count leaves many weights at 0
+        rng = np.random.default_rng(3)
+        tight = EmConfig(tol=1e-13, max_iter=300_000)
+        data = RawSample(np.concatenate(([0.0, 0.0, 1.0], rng.beta(2, 3, size=80))))
+        counts = np.zeros(40, dtype=int)
+        counts[10:22] = rng.integers(0, 9, size=12)
+        g = GroupedSample(np.linspace(0.0, 1.0, 41), counts)
+        for rep, ref in (
+            (_certified_fit(data, data.support, 8, np.full(9, 1.0 / 9)), em_raw(data, 8, tight)),
+            (_certified_fit(g, (0.0, 1.0), 30, np.full(31, 1.0 / 31)), em_grouped(g, (0, 1), 30, tight)),
+        ):
+            assert rep.stop_reason == "converged"
+            assert rep.gap <= 1e-8
+            assert rep.loglik >= ref.loglik - 1e-9

@@ -7,17 +7,19 @@ import pytest
 from bernmix import (
     BernsteinMixture,
     DegenerateDataError,
+    EmConfig,
     GroupedSample,
     RawSample,
     SelectionError,
     SimplexWeights,
     change_point,
     em_raw,
+    generate,
     group,
     lower_bound_degree,
     select_degree,
 )
-from bernmix.sim import scenario_distribution
+from bernmix.sim import ScenarioSpec, scenario_distribution
 
 
 def r_profile_reference(logliks):
@@ -120,16 +122,33 @@ class TestSelectDegree:
         assert trace.logliks.size == 15
         assert np.all(trace.increments >= -1e-6)
         assert trace.best_fit.weights.m == trace.m_hat
+        assert all(f.stop_reason == "converged" and f.converged for f in trace.fits)
+        assert max(f.gap for f in trace.fits) <= 1e-6
 
     def test_warm_start_matches_cold_logliks(self):
         rng = np.random.default_rng(8)
         x = rng.beta(2, 4, size=300)
         data = RawSample(x)
         warm = select_degree(data, degrees=range(1, 8))
-        cold = np.array([em_raw(data, m).loglik for m in range(1, 8)])
+        tight = EmConfig(tol=1e-13, max_iter=300_000)
+        cold = np.array([em_raw(data, m, tight).loglik for m in range(1, 8)])
         np.testing.assert_allclose(warm.logliks, cold, atol=1e-4)
         tau_hat, _ = change_point(cold)
         assert warm.m_hat == warm.degrees[tau_hat]
+
+    def test_desk_scale_replicate_scan_is_nested(self):
+        # replicate 42 of the C05 spec: an EM scan stopped on the relative
+        # loglik change lost 1.1e-5 nats from degree to degree here
+        spec = ScenarioSpec(
+            "normal01", n=100, n_cells=10, seed=314159, degrees=tuple(range(1, 41))
+        )
+        g = group(generate(spec, 42), spec.n_cells)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            trace = select_degree(g, (0.0, 1.0), degrees=spec.degrees)
+        assert not [w for w in caught if "nested degree scan" in str(w.message)]
+        assert trace.increments.min() >= -1e-6
+        assert max(f.gap for f in trace.fits) <= 1e-6
 
     def test_warns_when_start_not_below_bound(self):
         rng = np.random.default_rng(4)
