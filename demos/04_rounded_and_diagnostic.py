@@ -32,7 +32,7 @@ print(f"fit at degree 5: loglik {report.loglik:.3f}"
 truth = true_unit_pdf(bm.ScenarioSpec("normal01", n=1, n_cells=1))
 print("\ndegree   c_m      accepted fraction")
 for m in (4, 8, 16, 32):
-    weights = best_mixture_approximation(truth, m, nodes=256, tol=1e-13)
+    weights = best_mixture_approximation(truth, m, nodes=256)
     c, kept = bm.acceptance_rejection_diag(truth, weights, n=20_000, seed=1)
     print(f"{m:6d}   {c:7.4f}  {kept:8.4f}")
 print("\nboth columns should approach 1 as the degree grows")

@@ -277,22 +277,23 @@ def cmd_eval(args):
             raise CliInputError(f"--points must be comma-separated numbers: {exc}")
     else:
         xs = np.linspace(a, b, args.grid + 1)
+    inside = (xs >= a) & (xs <= b)
+    dens = np.full(xs.shape, np.nan)
+    cdf = np.full(xs.shape, np.nan)
+    dens[inside] = model.pdf(xs[inside])
+    cdf[inside] = model.cdf(xs[inside])
     lines = ["x,density,cdf"]
-    flagged = 0
-    for x in xs:
-        if a <= x <= b:
-            lines.append(f"{_fmt(x)},{_fmt(model.pdf(x))},{_fmt(model.cdf(x))}")
-        else:
-            flagged += 1
+    for x, ok, d, c in zip(xs, inside, dens, cdf):
+        if not ok:
             print(f"point {x!r} outside the support [{a}, {b}]", file=sys.stderr)
-            lines.append(f"{_fmt(x)},NaN,NaN")
+        lines.append(f"{_fmt(x)},{_fmt(d)},{_fmt(c)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_EVAL_DOMAIN if flagged else EXIT_OK
+    return EXIT_OK if inside.all() else EXIT_EVAL_DOMAIN
 
 
 MISE_CSV_HEADER = "scenario,n,cells,estimator,mise,weighted_mise,degree_mean,degree_var,replicates"

@@ -10,16 +10,20 @@ bound).  Every FitReport carries that gap at its returned weights.
 
 Two solvers share this form:
 
-- EM, the paper's algorithm (em_raw, em_grouped, and the population fit
-  of the acceptance-rejection diagnostic): the multiplicative map
+- EM, the paper's algorithm (em_raw and em_grouped): the multiplicative map
   p_j <- p_j g_j from a strictly positive start, which converges to the
   maximiser.  It stops when the relative loglik change
   |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol, or after
   EmConfig.max_iter updates; that stop says nothing about the gap.
 - The certified solver behind every fit of a degree scan
-  (select_degree): active-set SQP on the mixSQP form of the problem
-  (Kim, Carbonetto, Stephens and Anitescu, JCGS 2020).  It stops when
-  the gap is at most GAP_TOL, or after SQP_MAX_STEPS outer steps.
+  (select_degree) and the population fit of the acceptance-rejection
+  diagnostic (sim.best_mixture_approximation): active-set SQP on the
+  mixSQP form of the problem (Kim, Carbonetto, Stephens and Anitescu,
+  JCGS 2020).  Its line search accepts a trial point only if every row
+  mass (A p)_i keeps more than ROW_MASS_SHARE of its current value, so
+  that a cold start of high degree cannot strand a tail row near 0.  It
+  stops when the gap is at most GAP_TOL, or after SQP_MAX_STEPS outer
+  steps.
 
 With n_l observations in cell l every one of them has the same
 responsibility, which is why the grouped EM update sums over cells
@@ -55,6 +59,11 @@ SQP_RIDGE = 1e-8
 QP_TOL = 1e-14
 # Armijo sufficient-decrease share of the predicted decrease
 ARMIJO = 0.01
+# a trial point must keep every row mass above this share of its current
+# value: a cold Newton step can drive a tail row mass to ~1e-74 for a cost
+# of ~1e-6 in f, and the solver then needs one outer step per doubling
+# to bring it back
+ROW_MASS_SHARE = 0.1
 # the SQP objective is O(1); a decrease below this is rounding, and a
 # Newton step that close to the optimum is taken whole
 OBJECTIVE_ROUNDING = 1e-14
@@ -143,7 +152,7 @@ def _output_weights(p):
 def _iterate(p0, step, config):
     p = np.asarray(p0, dtype=float)
     p_next, ll = step(p)
-    # array("d"): population fits run ~1e5 steps, a list of floats is 4x larger
+    # array("d"): a fit may run ~1e5 steps, a list of floats is 4x larger
     trace = array("d", [ll])
     append, tol = trace.append, config.tol
     iterations, converged = 0, False
@@ -173,17 +182,6 @@ def _populated(mass_mat, row_weights):
     """Rows of positive weight: rows of zero weight carry nothing."""
     pos = row_weights > 0
     return mass_mat[pos], np.asarray(row_weights, dtype=float)[pos]
-
-
-def _em_weighted(mass_mat, row_weights, config):
-    """EM on a mass matrix whose rows carry nonnegative weights.
-
-    Rows are cells (weights = counts) or quadrature atoms (weights =
-    quadrature masses of a known density).  Returns the _iterate tuple.
-    """
-    mass, w = _populated(mass_mat, row_weights)
-    p0 = _resolve_init(config, mass_mat.shape[1] - 1)
-    return _iterate(p0, lambda p: em_step_grouped(p, mass, w), config)
 
 
 def _nonnegative_qp(h, c, y):
@@ -229,7 +227,8 @@ def _sqp_weighted(mass_mat, row_weights, p0):
     v = w / n, whose minimiser is the simplex maximiser of the loglik.
     Each outer step solves the Newton QP
     min 0.5 y'Hy + (grad f - Hx)'y, y >= 0, with H = A' diag(v/theta^2) A
-    plus a small ridge, then backtracks along y - x until the Armijo
+    plus a small ridge, then backtracks along y - x until every row mass
+    keeps more than ROW_MASS_SHARE of its current value and the Armijo
     condition holds.  It stops once n (max_j (A'(v/theta))_j sum x - 1),
     the gap at x / sum x, is at most GAP_TOL.  Returns the _iterate
     tuple; iterations counts outer steps.
@@ -265,7 +264,7 @@ def _sqp_weighted(mass_mat, row_weights, p0):
         while True:
             x_new = x + alpha * d
             theta_new = a @ x_new
-            if np.all(theta_new > 0.0):
+            if np.all(theta_new > ROW_MASS_SHARE * theta):
                 f_new = x_new.sum() - v @ np.log(theta_new)
                 if f_new <= f + ARMIJO * alpha * slope + OBJECTIVE_ROUNDING * (1.0 + abs(f)):
                     break
@@ -345,6 +344,8 @@ def em_grouped(grouped, support, m, config=None):
     """
     config = config or EmConfig()
     a, w = _grouped_problem(grouped, support, m)
-    return _report(
-        _em_weighted(a, w, config), a, w, lambda wt: loglik_grouped(wt, grouped, support)
+    cells, counts = _populated(a, w)
+    solved = _iterate(
+        _resolve_init(config, m), lambda p: em_step_grouped(p, cells, counts), config
     )
+    return _report(solved, a, w, lambda wt: loglik_grouped(wt, grouped, support))

@@ -159,6 +159,28 @@ def cell_probabilities(weights, breakpoints, support):
     return np.clip(theta, 0.0, None)
 
 
+# points per block of basis values: bounds the (points x (m+1)) temporaries
+EVAL_BLOCK = 2048
+
+
+def _mix(matrix, m, u, p):
+    """matrix(m, u) @ p, built EVAL_BLOCK points at a time.
+
+    Each block is summed one column at a time, so a point's value depends
+    on that point alone and is the same float alone or in any batch (a
+    BLAS matrix-vector product blocks rows and can differ between the two
+    in the last ulp); the blocks keep memory flat in the number of points.
+    """
+    vals = np.empty(u.size)
+    for lo in range(0, u.size, EVAL_BLOCK):
+        mat = matrix(m, u[lo : lo + EVAL_BLOCK])
+        block = vals[lo : lo + EVAL_BLOCK]
+        np.multiply(mat[:, 0], p[0], out=block)
+        for col, pj in zip(mat.T[1:], p[1:]):
+            block += col * pj
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class BernsteinMixture:
     """Beta-mixture density on an explicit support interval [a, b]."""
@@ -180,7 +202,7 @@ class BernsteinMixture:
         """Density at x in original units (includes the 1/(b-a) Jacobian)."""
         u = to_unit(x, self.support)
         scalar = u.ndim == 0
-        vals = basis.basis_matrix(self.m, np.atleast_1d(u)) @ self.weights.p
+        vals = _mix(basis.basis_matrix, self.m, np.atleast_1d(u), self.weights.p)
         vals /= self.support[1] - self.support[0]
         return float(vals[0]) if scalar else vals
 
@@ -188,7 +210,7 @@ class BernsteinMixture:
         """Distribution function at x; 0 at a and 1 at b."""
         u = to_unit(x, self.support)
         scalar = u.ndim == 0
-        vals = basis.cdf_matrix(self.m, np.atleast_1d(u)) @ self.weights.p
+        vals = _mix(basis.cdf_matrix, self.m, np.atleast_1d(u), self.weights.p)
         vals = np.clip(vals, 0.0, 1.0)
         return float(vals[0]) if scalar else vals
 

@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from . import baselines
 from .basis import basis_matrix
-from .em import EmConfig, _em_weighted
+from .em import _gap, _sqp_weighted
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample
 from .model import GroupedSample
@@ -371,15 +371,20 @@ def mise(spec, estimator, points=2001):
     )
 
 
-def best_mixture_approximation(pdf, m, nodes=512, tol=1e-15, max_iter=2_000_000):
+def best_mixture_approximation(pdf, m, nodes=512):
     """Weights of the degree-m mixture closest to a known density.
 
-    Computes the KL projection of pdf onto the degree-m model by running
-    the EM update with Gauss-Legendre quadrature atoms of the truth in
-    place of observations; the result is the population analogue of an
-    EM fit and is deterministic.  Used by the acceptance-rejection
+    Computes the KL projection of pdf onto the degree-m model: the
+    Gauss-Legendre atoms of the truth, weighted by their quadrature
+    masses, take the place of observations, and the certified solver of
+    the degree scan (active-set SQP, em._sqp_weighted) maximises their
+    loglik from uniform weights.  Its line search keeps every atom's
+    mixture mass above a fixed share of its current value, so cold fits
+    of high degree converge; the result is deterministic and sits within
+    em.GAP_TOL nats of the optimum.  Used by the acceptance-rejection
     diagnostic, where the envelope constant of the best approximation is
-    the quantity of interest.
+    the quantity of interest.  Raises ValueError when the solver stops
+    at its step cap without that certificate.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -388,7 +393,14 @@ def best_mixture_approximation(pdf, m, nodes=512, tol=1e-15, max_iter=2_000_000)
     mass = 0.5 * w * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    return _em_weighted(basis_matrix(m, t), mass, EmConfig(tol=tol, max_iter=max_iter))[0]
+    a = basis_matrix(m, t)
+    weights, _, steps, _, converged, _ = _sqp_weighted(a, mass, np.full(m + 1, 1.0 / (m + 1)))
+    if not converged:
+        raise ValueError(
+            f"population fit at degree {m} stopped after {steps} steps "
+            f"with gap {_gap(a, mass, weights.p):.3g}"
+        )
+    return weights
 
 
 def _inverse_cdf_sampler(pdf, grid_points=4001):

@@ -250,7 +250,7 @@ def test_c08_acceptance_rejection_diagnostic():
     f = true_unit_pdf(bm.ScenarioSpec("normal01", n=1, n_cells=1))
     cs, kepts = [], []
     for m in (4, 8, 16, 32):
-        weights = best_mixture_approximation(f, m, nodes=512, tol=1e-15)
+        weights = best_mixture_approximation(f, m, nodes=512)
         c, kept = bm.acceptance_rejection_diag(f, weights, n=10_000, seed=808)
         cs.append(c)
         kepts.append(kept)

@@ -171,6 +171,34 @@ class TestEval:
             assert dens == mix.pdf(x)
             assert cdf == mix.cdf(x)
 
+    def test_mixed_points_match_per_point_eval(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        doc = {
+            "degree": 13,
+            "weights": [float(v) for v in rng.dirichlet(np.ones(14))],
+            "support": [0.0, 21.0],
+            "loglik": -1.0,
+            "converged": True,
+            "selection": None,
+        }
+        model = tmp_path / "m.json"
+        write(model, json.dumps(doc))
+        points = ["-1", "0", "3.7", "nan", "10.5", "21", "21.5", "0.001", "20.999"]
+        code = main(["eval", "--model", str(model), "--points=" + ",".join(points)])
+        captured = capsys.readouterr()
+        rows = captured.out.strip().splitlines()[1:]
+        assert len(rows) == len(points)
+        assert captured.err.count("outside") == 3
+        codes = []
+        for x, row in zip(points, rows):
+            codes.append(main(["eval", "--model", str(model), "--points=" + x]))
+            alone = capsys.readouterr().out.strip().splitlines()[1]
+            got = np.array([float(v) for v in row.split(",")])
+            want = np.array([float(v) for v in alone.split(",")])
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, equal_nan=True)
+        assert codes.count(4) == 3
+        assert code == max(codes) == 4
+
 
 class TestSimulate:
     def test_csv_columns_and_determinism(self, tmp_path):

@@ -6,6 +6,7 @@ from bernmix import (
     EmConfig,
     GroupedSample,
     RawSample,
+    ScenarioSpec,
     SimplexWeights,
     basis_matrix,
     em_grouped,
@@ -14,8 +15,16 @@ from bernmix import (
     loglik_grouped,
     loglik_raw,
 )
-from bernmix.em import _certified_fit, em_step_grouped, em_step_raw
+from bernmix.em import (
+    GAP_TOL,
+    _certified_fit,
+    _gap,
+    _sqp_weighted,
+    em_step_grouped,
+    em_step_raw,
+)
 from bernmix.model import cell_basis_matrix
+from bernmix.sim import true_unit_pdf
 
 
 def simplex_grid_best(loglik_fn, step=0.01, refine=0.001):
@@ -236,3 +245,18 @@ class TestCertifiedSolver:
             assert rep.stop_reason == "converged"
             assert rep.gap <= 1e-8
             assert rep.loglik >= ref.loglik - 1e-9
+
+    @pytest.mark.parametrize("nodes", [256, 512])
+    @pytest.mark.parametrize("tag", ["normal01", "exp1", "logistic"])
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 48, 64])
+    def test_cold_population_fit_is_certified(self, m, tag, nodes):
+        # quadrature atoms of a smooth truth: without the row-mass guard a
+        # cold Newton step pushes tail row masses to ~1e-74 and the fit
+        # stops at the step cap
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        t = 0.5 * (x + 1.0)
+        mass = 0.5 * w * true_unit_pdf(ScenarioSpec(tag, n=1, n_cells=1))(t)
+        a = basis_matrix(m, t)
+        weights, _, _, _, converged, _ = _sqp_weighted(a, mass, np.full(m + 1, 1.0 / (m + 1)))
+        assert converged
+        assert _gap(a, mass, weights.p) <= GAP_TOL

@@ -6,11 +6,14 @@ from bernmix import (
     BernsteinMixture,
     GroupedSample,
     SimplexWeights,
+    basis_matrix,
     beta_cdf,
     beta_density,
+    cdf_matrix,
     cell_probabilities,
     to_unit,
 )
+from bernmix.model import EVAL_BLOCK
 
 
 def gl_integral(f, a, b, nodes=64):
@@ -79,6 +82,20 @@ class TestDensityAndCdf:
                 SimplexWeights(rng.dirichlet(np.ones(m + 1))), (-1.0, 2.5)
             )
             assert gl_integral(mix.pdf, -1.0, 2.5) == pytest.approx(1.0, abs=1e-6)
+
+    def test_batch_values_equal_pointwise_values(self):
+        # several evaluation blocks: a point's value does not depend on the
+        # other points it is evaluated with
+        rng = np.random.default_rng(4)
+        p = rng.dirichlet(np.ones(14))
+        mix = BernsteinMixture(SimplexWeights(p), (0.0, 21.0))
+        x = np.sort(rng.uniform(0.0, 21.0, size=2 * EVAL_BLOCK + 7))
+        dens, cdf = mix.pdf(x), mix.cdf(x)
+        for i in rng.choice(x.size, size=200, replace=False):
+            assert dens[i] == mix.pdf(x[i]) and cdf[i] == mix.cdf(x[i])
+        u = x / 21.0
+        np.testing.assert_allclose(dens, basis_matrix(13, u) @ p / 21.0, rtol=1e-14)
+        np.testing.assert_allclose(cdf, cdf_matrix(13, u) @ p, rtol=1e-14, atol=1e-16)
 
     def test_cdf_equals_density_quadrature(self):
         rng = np.random.default_rng(2)

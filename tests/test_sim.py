@@ -10,12 +10,15 @@ from bernmix import (
     ScenarioSpec,
     SimplexWeights,
     acceptance_rejection_diag,
+    basis_matrix,
     generate,
     group,
     integrated_squared_error,
     mise,
     scenario_distribution,
 )
+from bernmix import em
+from bernmix.em import EmConfig, _iterate, em_step_grouped
 from bernmix.sim import SCENARIO_TAGS, best_mixture_approximation, true_unit_pdf
 
 
@@ -159,8 +162,6 @@ class TestAcceptanceRejection:
     def test_self_acceptance_is_exact(self):
         rng = np.random.default_rng(2)
         w = SimplexWeights(rng.dirichlet(np.ones(5)))
-        from bernmix import basis_matrix
-
         pdf = lambda t: basis_matrix(4, np.atleast_1d(t)) @ w.p
         c, kept = acceptance_rejection_diag(pdf, w, n=5000, seed=3)
         assert c == 1.0
@@ -177,22 +178,45 @@ class TestAcceptanceRejection:
         f = true_unit_pdf(spec_for("normal01"))
         kepts = []
         for m in (4, 8, 16):
-            w = best_mixture_approximation(f, m, nodes=256, tol=1e-13)
+            w = best_mixture_approximation(f, m, nodes=256)
             _, kept = acceptance_rejection_diag(f, w, n=20_000, seed=5)
             kepts.append(kept)
         assert kepts[0] < kepts[1] < kepts[2]
 
     def test_population_fit_recovers_exact_mixture(self):
         # the KL projection of a degree-4 mixture onto degree 4 is itself
-        from bernmix import basis_matrix
-
         p_true = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
         pdf = lambda t: basis_matrix(4, np.atleast_1d(t)) @ p_true
         w = best_mixture_approximation(pdf, 4)
-        # the loglik is flat at the optimum: the stop leaves the weights ~1e-6 off
-        np.testing.assert_allclose(w.p, p_true, atol=1e-5)
+        np.testing.assert_allclose(w.p, p_true, atol=1e-8)
         c, _ = acceptance_rejection_diag(pdf, w, n=1000, seed=6)
         assert c == pytest.approx(1.0, abs=1e-5)
+
+    def test_population_fit_matches_em_envelope(self):
+        # EM on the same quadrature atoms, run to a 1e-15 relative change,
+        # is the reference for the diagnostic's c_m
+        from numpy.polynomial.legendre import leggauss
+
+        f = true_unit_pdf(spec_for("normal01"))
+        x, w = leggauss(512)
+        t = 0.5 * (x + 1.0)
+        mass = 0.5 * w * f(t)
+        for m in (4, 8, 16):
+            a = basis_matrix(m, t)
+            em_weights = _iterate(
+                np.full(m + 1, 1.0 / (m + 1)),
+                lambda p: em_step_grouped(p, a, mass),
+                EmConfig(tol=1e-15, max_iter=2_000_000),
+            )[0]
+            c_em, _ = acceptance_rejection_diag(f, em_weights, n=10, seed=7)
+            c_sqp, _ = acceptance_rejection_diag(f, best_mixture_approximation(f, m), n=10, seed=7)
+            assert c_sqp == pytest.approx(c_em, abs=1e-4)
+
+    def test_population_fit_at_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(em, "SQP_MAX_STEPS", 1)
+        f = true_unit_pdf(spec_for("normal01"))
+        with pytest.raises(ValueError, match=r"degree 16 stopped after 1 steps with gap"):
+            best_mixture_approximation(f, 16)
 
     def test_nonpositive_truth_rejected(self):
         w = SimplexWeights(np.array([1.0]))
