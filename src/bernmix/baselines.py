@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
 
 from .errors import DegenerateDataError
 
@@ -160,6 +158,8 @@ def pareto_family(scale=0.5):
 
 def normal_family():
     """N(mu, sigma^2), both parameters free."""
+    from scipy.special import ndtr
+
     return ParametricFamily(
         tag="normal",
         param_names=("mu", "sigma"),
@@ -283,6 +283,8 @@ def parametric_mle_grouped(family, grouped):
         pinned = min(z_best - lo, hi - z_best) < 1e-6 * (hi - lo)
         z_best = np.array([z_best])
     else:
+        from scipy.optimize import minimize
+
         res = minimize(nll_z, z0, method="Nelder-Mead", options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-12})
         z_best, f_best, converged = res.x, float(res.fun), bool(res.success)
         pinned = bool(np.any(np.abs(z_best - z0) > _Z_HALF_WIDTH))

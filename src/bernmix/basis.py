@@ -1,14 +1,16 @@
 """Beta-density basis underlying the Bernstein mixture model.
 
 The degree-m basis consists of the m+1 beta densities with integer shape
-parameters, beta(j+1, m-j+1) for j = 0..m.  Binomial coefficients go
-through log-gamma so degrees in the hundreds stay finite, and the basis
-CDFs use the exact binomial-tail identity (integer shapes) instead of a
-generic incomplete-beta routine.
+parameters, beta(j+1, m-j+1) for j = 0..m.  Binomial coefficients enter
+as logarithms of the exact integers C(m, k), rounded once each, so
+degrees in the hundreds stay finite (C(m, k) itself overflows a float
+past m of about 1030), and the basis CDFs use the exact binomial-tail
+identity (integer shapes) instead of a generic incomplete-beta routine.
 """
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "beta_density",
@@ -24,6 +26,15 @@ def _check_index(m, j):
         raise ValueError(f"degree must be nonnegative, got {m}")
     if not 0 <= j <= m:
         raise ValueError(f"component index {j} outside [0, {m}]")
+
+
+def _log_binomials(m):
+    """log C(m, k) for k = 0..m, each rounded once from the exact integer."""
+    row, c = [], 1
+    for k in range(m + 1):
+        row.append(math.log(c))
+        c = c * (m - k) // (k + 1)
+    return np.array(row)
 
 
 def _check_unit(t):
@@ -58,7 +69,7 @@ def beta_density(m, j, t):
     out = np.zeros(t.shape)
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior]
-    log_coef = np.log(m + 1.0) + gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
+    log_coef = np.log(m + 1.0) + _log_binomials(m)[j]
     out[interior] = np.exp(log_coef + j * np.log(ti) + (m - j) * np.log1p(-ti))
     if j == 0:
         out[t == 0.0] = m + 1.0
@@ -83,7 +94,7 @@ def beta_cdf(m, j, t):
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior]
     k = np.arange(j + 1, m + 2)
-    log_binom = gammaln(m + 2) - gammaln(k + 1) - gammaln(m + 2 - k)
+    log_binom = _log_binomials(m + 1)[j + 1:]
     terms = np.exp(
         log_binom[None, :]
         + k[None, :] * np.log(ti)[:, None]
@@ -105,7 +116,7 @@ def basis_matrix(m, t):
         raise ValueError(f"degree must be nonnegative, got {m}")
     t = _check_unit(np.atleast_1d(t))
     j = np.arange(m + 1)
-    log_coef = np.log(m + 1.0) + gammaln(m + 1) - gammaln(j + 1) - gammaln(m - j + 1)
+    log_coef = np.log(m + 1.0) + _log_binomials(m)
     out = np.zeros((t.size, m + 1))
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior]
@@ -130,7 +141,7 @@ def cdf_matrix(m, t):
         raise ValueError(f"degree must be nonnegative, got {m}")
     t = _check_unit(np.atleast_1d(t))
     k = np.arange(m + 2)
-    log_binom = gammaln(m + 2) - gammaln(k + 1) - gammaln(m + 2 - k)
+    log_binom = _log_binomials(m + 1)
     out = np.zeros((t.size, m + 1))
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior]

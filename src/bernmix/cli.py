@@ -282,11 +282,13 @@ def cmd_eval(args):
     cdf = np.full(xs.shape, np.nan)
     dens[inside] = model.pdf(xs[inside])
     cdf[inside] = model.cdf(xs[inside])
+    for x in xs[~inside]:
+        print(f"point {x!r} outside the support [{a}, {b}]", file=sys.stderr)
+    # "%.17g" of a finite float is _fmt's token; _fmt spells NaN and inf
+    finite = (np.isfinite(xs) & np.isfinite(dens) & np.isfinite(cdf)).tolist()
     lines = ["x,density,cdf"]
-    for x, ok, d, c in zip(xs, inside, dens, cdf):
-        if not ok:
-            print(f"point {x!r} outside the support [{a}, {b}]", file=sys.stderr)
-        lines.append(f"{_fmt(x)},{_fmt(d)},{_fmt(c)}")
+    for ok, row in zip(finite, zip(xs.tolist(), dens.tolist(), cdf.tolist())):
+        lines.append("%.17g,%.17g,%.17g" % row if ok else ",".join(map(_fmt, row)))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

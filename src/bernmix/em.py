@@ -30,6 +30,7 @@ responsibility, which is why the grouped EM update sums over cells
 rather than observations.
 """
 
+import time
 from array import array
 from dataclasses import dataclass
 
@@ -105,7 +106,8 @@ class FitReport:
     n (max_j g_j - 1) at the returned weights, an upper bound on how far
     loglik sits below the maximum.  stop_reason is "converged" (EM: the
     relative loglik change fell below tol; SQP: the gap reached GAP_TOL)
-    or "max_iter".
+    or "max_iter".  elapsed_s is the wall time of the fit in seconds, from
+    the mass-matrix build to the report.
     """
 
     weights: SimplexWeights
@@ -116,6 +118,7 @@ class FitReport:
     residual: float
     gap: float
     stop_reason: str
+    elapsed_s: float
 
 
 def em_step_raw(p, basis_mat):
@@ -283,8 +286,11 @@ def _gap(mass_mat, row_weights, p):
     return float(np.max(a.T @ (w / theta)) - w.sum())
 
 
-def _report(solved, mass_mat, row_weights, loglik):
-    """FitReport of a solver tuple; loglik(weights) recomputes the loglik."""
+def _report(solved, mass_mat, row_weights, loglik, start):
+    """FitReport of a solver tuple; loglik(weights) recomputes the loglik.
+
+    start is the time.perf_counter() reading taken when the fit began.
+    """
     weights, _, iterations, trace, converged, residual = solved
     return FitReport(
         weights,
@@ -295,6 +301,7 @@ def _report(solved, mass_mat, row_weights, loglik):
         residual,
         _gap(mass_mat, row_weights, weights.p),
         "converged" if converged else "max_iter",
+        time.perf_counter() - start,
     )
 
 
@@ -313,12 +320,15 @@ def _grouped_problem(grouped, support, m):
 
 def _certified_fit(data, support, m, p0):
     """Degree-m fit of a RawSample or GroupedSample by the certified solver."""
+    start = time.perf_counter()
     if isinstance(data, RawSample):
         a, w = _raw_problem(data, m)
-        return _report(_sqp_weighted(a, w, p0), a, w, lambda wt: loglik_raw(wt, data))
+        return _report(
+            _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_raw(wt, data), start
+        )
     a, w = _grouped_problem(data, support, m)
     return _report(
-        _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_grouped(wt, data, support)
+        _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_grouped(wt, data, support), start
     )
 
 
@@ -329,11 +339,12 @@ def em_raw(data, m, config=None):
     until the loglik stalls.  Hitting max_iter is reported through
     converged=False, not an error.
     """
+    start = time.perf_counter()
     config = config or EmConfig()
     b, w = _raw_problem(data, m)
     p0 = _resolve_init(config, m)
     solved = _iterate(p0, lambda p: em_step_raw(p, b), config)
-    return _report(solved, b, w, lambda wt: loglik_raw(wt, data))
+    return _report(solved, b, w, lambda wt: loglik_raw(wt, data), start)
 
 
 def em_grouped(grouped, support, m, config=None):
@@ -342,10 +353,13 @@ def em_grouped(grouped, support, m, config=None):
     The cell/basis mass matrix is precomputed once; empty cells carry no
     weight in the update and are dropped up front.
     """
+    start = time.perf_counter()
     config = config or EmConfig()
     a, w = _grouped_problem(grouped, support, m)
     cells, counts = _populated(a, w)
     solved = _iterate(
         _resolve_init(config, m), lambda p: em_step_grouped(p, cells, counts), config
     )
-    return _report(solved, a, w, lambda wt: loglik_grouped(wt, grouped, support))
+    return _report(
+        solved, a, w, lambda wt: loglik_grouped(wt, grouped, support), start
+    )

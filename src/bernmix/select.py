@@ -40,7 +40,8 @@ class DegreeSelectionTrace:
 
     degrees[i] pairs with logliks[i]; increments[i-1] = logliks[i] -
     logliks[i-1] for i >= 1; r_profile[tau-1] is the change-point
-    likelihood ratio R(tau); m_hat = degrees[tau_hat].
+    likelihood ratio R(tau); m_hat = degrees[tau_hat].  fits[i] is the
+    FitReport of degrees[i]; elapsed_s[i] is its wall time in seconds.
     """
 
     degrees: np.ndarray
@@ -54,6 +55,10 @@ class DegreeSelectionTrace:
     @property
     def best_fit(self):
         return self.fits[self.tau_hat]
+
+    @property
+    def elapsed_s(self):
+        return np.array([f.elapsed_s for f in self.fits])
 
 
 def _moment_bound(mean, var):

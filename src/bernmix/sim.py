@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import ndtr
 
 from . import baselines
 from .basis import basis_matrix
@@ -152,6 +150,8 @@ def scenario_distribution(tag):
             parametric_family=baselines.normal_family,
         )
     if tag == "normal01":
+        from scipy.special import ndtr
+
         return ScenarioDistribution(
             tag,
             pdf=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2) / _SQRT_2PI,
@@ -273,6 +273,8 @@ def true_unit_pdf(spec):
 
 def integrated_squared_error(fhat_vals, f_vals, grid, weighted=False):
     """Composite-Simpson ISE of a fitted curve against the truth on a grid."""
+    from scipy.integrate import simpson
+
     diff2 = (np.asarray(fhat_vals, float) - f_vals) ** 2
     if weighted:
         diff2 = diff2 / np.maximum(f_vals, WEIGHT_FLOOR)

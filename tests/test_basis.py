@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from bernmix import basis_matrix, beta_cdf, beta_density, cdf_matrix, degree_elevate
+from bernmix.basis import _log_binomials
 
 GL_NODES, GL_WEIGHTS = leggauss(64)
 GL_T = 0.5 * (GL_NODES + 1.0)  # map to [0, 1]
@@ -103,6 +105,30 @@ class TestMatrices:
         dens = basis_matrix(m, np.array([0.0, 1.0]))
         assert dens[0, 0] == m + 1 and dens[1, m] == m + 1
         assert dens[0, 1:].sum() == 0.0 and dens[1, :m].sum() == 0.0
+
+
+class TestLogBinomials:
+    @pytest.mark.parametrize("m", [0, 1, 13, 40, 200, 600])
+    def test_matches_log_gamma_form(self, m):
+        k = np.arange(m + 1)
+        oracle = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+        np.testing.assert_allclose(_log_binomials(m), oracle, rtol=0.0, atol=1e-12)
+
+    def test_rounds_the_exact_integer_once(self):
+        for m in (13, 40, 600):
+            exact = [math.log(math.comb(m, k)) for k in range(m + 1)]
+            assert _log_binomials(m).tolist() == exact
+
+    def test_degree_in_the_thousand_range_stays_finite(self):
+        # C(1001, k) overflows a float, its log does not
+        m = 1000
+        t = np.array([1e-3, 0.25, 0.5, 0.73, 0.999])
+        dens = basis_matrix(m, t)
+        cdfs = cdf_matrix(m, t)
+        assert np.all(np.isfinite(dens)) and np.all(np.isfinite(cdfs))
+        for j in range(m + 1):
+            np.testing.assert_allclose(dens[:, j], beta_density(m, j, t), rtol=1e-13)
+            np.testing.assert_allclose(cdfs[:, j], beta_cdf(m, j, t), rtol=0.0, atol=1e-14)
 
 
 class TestDegreeElevate:

@@ -69,6 +69,15 @@ class TestFit:
         assert all(0.0 <= g <= 1e-6 for g in sel["gaps"])
         assert all(isinstance(k, int) and k >= 0 for k in sel["steps"])
 
+    def test_select_model_is_byte_identical_across_runs(self, grouped_csv, tmp_path):
+        # per-fit wall times stay out of the file
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            args = ["fit", "--grouped", str(grouped_csv), "--select", "--degrees", "1..6"]
+            assert main(args + ["--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert "elapsed" not in outs[0].read_text()
+
     def test_raw_fit_needs_support(self, tmp_path, capsys):
         path = tmp_path / "raw.txt"
         write(path, "0.1\n0.4\n0.7\n")

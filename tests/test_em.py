@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,22 @@ class TestEmProperties:
         pos = g_data.counts > 0
         grad = a_mat[pos].T @ (g_data.counts[pos] / (a_mat[pos] @ rep.weights.p))
         assert rep.gap == pytest.approx(grad.max() - g_data.n, rel=1e-9, abs=1e-12)
+
+    def test_elapsed_is_the_wall_time_of_the_fit(self):
+        rng = np.random.default_rng(12)
+        data = RawSample(rng.beta(2, 5, size=200))
+        g_data = group(data, 12)
+        p0 = np.full(5, 0.2)
+        for fit in (
+            lambda: em_raw(data, 4),
+            lambda: em_grouped(g_data, (0, 1), 4),
+            lambda: _certified_fit(data, (0, 1), 4, p0),
+            lambda: _certified_fit(g_data, (0, 1), 4, p0),
+        ):
+            start = time.perf_counter()
+            rep = fit()
+            wall = time.perf_counter() - start
+            assert 0.0 < rep.elapsed_s <= wall
 
     def test_grouped_empty_cells_are_skipped(self):
         g = GroupedSample(np.linspace(0, 1, 11), [0, 0, 12, 30, 18, 0, 0, 0, 0, 0])

@@ -124,6 +124,9 @@ class TestSelectDegree:
         assert trace.best_fit.weights.m == trace.m_hat
         assert all(f.stop_reason == "converged" and f.converged for f in trace.fits)
         assert max(f.gap for f in trace.fits) <= 1e-6
+        assert trace.elapsed_s.shape == trace.degrees.shape
+        assert np.all(trace.elapsed_s > 0.0)
+        assert trace.elapsed_s[3] == trace.fits[3].elapsed_s
 
     def test_warm_start_matches_cold_logliks(self):
         rng = np.random.default_rng(8)
