@@ -13,12 +13,16 @@ degree_mean,degree_var,replicates.
 
 All floats are serialized with 17 significant digits, UTF-8, LF line
 endings.  Exit codes: 0 ok, 2 input error, 3 non-convergence, 4 eval
-domain flag, 5 harness failure.
+domain flag, 5 harness failure.  A warning of the degree scan (a first
+degree not below the moment lower bound, a loglik that fell along the
+scan) is printed as one "bernmix: note: ..." line on stderr and does not
+change the exit code.
 """
 
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -244,7 +248,13 @@ def cmd_fit(args):
 
     selection = None
     if args.select:
-        trace = select_degree(data, support, degrees=degrees)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                trace = select_degree(data, support, degrees=degrees)
+            finally:
+                for note in caught:
+                    print(f"bernmix: note: {note.message}", file=sys.stderr)
         selection = _selection_doc(trace)
         report = trace.best_fit
     else:

@@ -23,7 +23,9 @@ Two solvers share this form:
   mass (A p)_i keeps more than ROW_MASS_SHARE of its current value, so
   that a cold start of high degree cannot strand a tail row near 0.  It
   stops when the gap is at most GAP_TOL, or after SQP_MAX_STEPS outer
-  steps.
+  steps.  Each outer step's QP starts from the previous step's QP
+  solution (the start weights at the first step), so the active set is
+  carried along instead of being re-derived from the full support.
 
 With n_l observations in cell l every one of them has the same
 responsibility, which is why the grouped EM update sums over cells
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_matrix
-from .likelihood import RawSample, loglik_grouped, loglik_raw
+from .likelihood import RawSample
 from .model import SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
 
 __all__ = [
@@ -202,10 +204,10 @@ def _nonnegative_qp(h, c, y):
     # on rounding when a released entry comes straight back
     for _ in range(4 * k + 10):
         z = np.zeros(k)
-        idx = np.flatnonzero(free)
+        idx = free.nonzero()[0]
         if idx.size:
-            z[idx] = np.linalg.solve(h[np.ix_(idx, idx)], -c[idx])
-        blocked = np.flatnonzero(free & (z < 0.0))
+            z[idx] = np.linalg.solve(h[idx[:, None], idx], -c[idx])
+        blocked = (free & (z < 0.0)).nonzero()[0]
         if blocked.size == 0:
             y = z
             grad = h @ y + c
@@ -230,7 +232,10 @@ def _sqp_weighted(mass_mat, row_weights, p0):
     v = w / n, whose minimiser is the simplex maximiser of the loglik.
     Each outer step solves the Newton QP
     min 0.5 y'Hy + (grad f - Hx)'y, y >= 0, with H = A' diag(v/theta^2) A
-    plus a small ridge, then backtracks along y - x until every row mass
+    plus a small ridge, starting the active-set loop from the previous
+    step's QP solution (from p0 at the first step): the ridge makes the
+    minimiser unique, so the start changes only the number of passes.
+    It then backtracks along y - x until every row mass
     keeps more than ROW_MASS_SHARE of its current value and the Armijo
     condition holds.  It stops once n (max_j (A'(v/theta))_j sum x - 1),
     the gap at x / sum x, is at most GAP_TOL.  Returns the _iterate
@@ -243,6 +248,7 @@ def _sqp_weighted(mass_mat, row_weights, p0):
     k = x.size
     theta = a @ x
     f = x.sum() - v @ np.log(theta)
+    y = x
     trace = array("d")
     converged, step_norm, steps = False, 0.0, 0
     while True:
@@ -259,7 +265,8 @@ def _sqp_weighted(mass_mat, row_weights, p0):
         scaled = a * (np.sqrt(v) / theta)[:, None]
         h = scaled.T @ scaled
         h.flat[:: k + 1] += SQP_RIDGE * np.trace(h) / k
-        d = _nonnegative_qp(h, grad - h @ x, x) - x
+        y = _nonnegative_qp(h, grad - h @ x, y)
+        d = y - x
         slope = grad @ d
         alpha = 1.0
         # ends: as alpha -> 0 the trial point tends to x, which the
@@ -286,15 +293,29 @@ def _gap(mass_mat, row_weights, p):
     return float(np.max(a.T @ (w / theta)) - w.sum())
 
 
-def _report(solved, mass_mat, row_weights, loglik, start):
-    """FitReport of a solver tuple; loglik(weights) recomputes the loglik.
+def _loglik(mass_mat, row_weights, p):
+    """sum_i w_i log (A p)_i over the rows of positive weight.
+
+    (A p) is clipped at 0 as in cell_probabilities, and a row of positive
+    weight with mass 0 gives -inf, so the value equals loglik_raw or
+    loglik_grouped of p on the data the mass matrix was built from.
+    """
+    theta = np.clip(mass_mat @ p, 0.0, None)
+    pos = row_weights > 0
+    if np.any(theta[pos] <= 0.0):
+        return float("-inf")
+    return float(np.sum(row_weights[pos] * np.log(theta[pos])))
+
+
+def _report(solved, mass_mat, row_weights, start):
+    """FitReport of a solver tuple on the mass matrix it was solved on.
 
     start is the time.perf_counter() reading taken when the fit began.
     """
     weights, _, iterations, trace, converged, residual = solved
     return FitReport(
         weights,
-        loglik(weights),
+        _loglik(mass_mat, row_weights, weights.p),
         iterations,
         trace,
         converged,
@@ -323,13 +344,9 @@ def _certified_fit(data, support, m, p0):
     start = time.perf_counter()
     if isinstance(data, RawSample):
         a, w = _raw_problem(data, m)
-        return _report(
-            _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_raw(wt, data), start
-        )
-    a, w = _grouped_problem(data, support, m)
-    return _report(
-        _sqp_weighted(a, w, p0), a, w, lambda wt: loglik_grouped(wt, data, support), start
-    )
+    else:
+        a, w = _grouped_problem(data, support, m)
+    return _report(_sqp_weighted(a, w, p0), a, w, start)
 
 
 def em_raw(data, m, config=None):
@@ -344,7 +361,7 @@ def em_raw(data, m, config=None):
     b, w = _raw_problem(data, m)
     p0 = _resolve_init(config, m)
     solved = _iterate(p0, lambda p: em_step_raw(p, b), config)
-    return _report(solved, b, w, lambda wt: loglik_raw(wt, data), start)
+    return _report(solved, b, w, start)
 
 
 def em_grouped(grouped, support, m, config=None):
@@ -360,6 +377,4 @@ def em_grouped(grouped, support, m, config=None):
     solved = _iterate(
         _resolve_init(config, m), lambda p: em_step_grouped(p, cells, counts), config
     )
-    return _report(
-        solved, a, w, lambda wt: loglik_grouped(wt, grouped, support), start
-    )
+    return _report(solved, a, w, start)

@@ -31,8 +31,6 @@ __all__ = [
 # zero loglik gains inside the change-point logs are floored here
 GAIN_FLOOR = 1e-12
 
-WARM_START_UNIFORM_SHARE = 0.01
-
 
 @dataclass(frozen=True)
 class DegreeSelectionTrace:
@@ -143,8 +141,10 @@ def select_degree(data, support=None, degrees=None):
     or after em.SQP_MAX_STEPS outer steps; each FitReport in fits
     carries its gap, step count and stop reason.  The first fit starts
     from the uniform weights; every later fit starts from the
-    degree-elevated previous solution mixed with 1% uniform, so the scan
-    runs sequentially.
+    degree-elevated previous solution alone, so the scan runs
+    sequentially.  Elevation keeps every row mass of the previous fit, so
+    that start has a finite loglik, and its zero entries are the previous
+    support mapped to the new degree, where the solver's active set starts.
 
     Parameters
     ----------
@@ -188,8 +188,7 @@ def select_degree(data, support=None, degrees=None):
     fits = []
     for m in degrees:
         if fits:
-            lifted = fits[-1].weights.elevate(1).p
-            p0 = (1.0 - WARM_START_UNIFORM_SHARE) * lifted + WARM_START_UNIFORM_SHARE / (m + 1)
+            p0 = fits[-1].weights.elevate(1).p
         else:
             p0 = np.full(m + 1, 1.0 / (m + 1))
         fits.append(_certified_fit(data, support, int(m), p0))

@@ -11,6 +11,7 @@ seeded by (s, r), and replicate results are reduced in replicate order,
 so outputs are bit-reproducible.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from math import comb, factorial
@@ -373,6 +374,23 @@ def mise(spec, estimator, points=2001):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_gauss_legendre(nodes):
+    """Gauss-Legendre nodes on [0, 1] and their half-weights, read-only.
+
+    Building the rule is an eigenvalue problem of size nodes; the degree
+    ladder of the acceptance-rejection diagnostic reuses one rule.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(nodes)
+    t = 0.5 * (x + 1.0)
+    half = 0.5 * w
+    t.flags.writeable = False
+    half.flags.writeable = False
+    return t, half
+
+
 def best_mixture_approximation(pdf, m, nodes=512):
     """Weights of the degree-m mixture closest to a known density.
 
@@ -388,11 +406,8 @@ def best_mixture_approximation(pdf, m, nodes=512):
     the quantity of interest.  Raises ValueError when the solver stops
     at its step cap without that certificate.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    x, w = leggauss(nodes)
-    t = 0.5 * (x + 1.0)
-    mass = 0.5 * w * np.asarray(pdf(t), dtype=float)
+    t, half = _unit_gauss_legendre(nodes)
+    mass = half * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
     a = basis_matrix(m, t)

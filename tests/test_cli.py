@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bernmix import BernsteinMixture, SimplexWeights
 from bernmix.cli import main, read_model_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write(path, text):
@@ -77,6 +83,28 @@ class TestFit:
             assert main(args + ["--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert "elapsed" not in outs[0].read_text()
+
+    def test_select_warning_is_one_stderr_note(self, tmp_path):
+        # the README's chicken-embryo command: its first degree 2 is not
+        # below the lower bound 1, and a fresh process shows what a user sees
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        out = tmp_path / "model.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bernmix.cli", "fit", "--grouped", str(ROOT / "data" / "chicken_embryo.csv"),
+             "--support", "0,21", "--select", "--degrees", "2..50", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "bernmix: note: first degree 2 is not below the estimated lower bound 1; "
+            "the change point may sit at the left edge"
+        ]
+        assert "UserWarning" not in proc.stderr and "cli.py" not in proc.stderr
+        assert json.loads(out.read_text())["degree"] == 13
 
     def test_raw_fit_needs_support(self, tmp_path, capsys):
         path = tmp_path / "raw.txt"

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernmix import (
     BernsteinMixture,
@@ -19,8 +21,11 @@ from bernmix import (
 )
 from bernmix.em import (
     GAP_TOL,
+    QP_TOL,
+    SQP_RIDGE,
     _certified_fit,
     _gap,
+    _nonnegative_qp,
     _sqp_weighted,
     em_step_grouped,
     em_step_raw,
@@ -278,3 +283,34 @@ class TestCertifiedSolver:
         weights, _, _, _, converged, _ = _sqp_weighted(a, mass, np.full(m + 1, 1.0 / (m + 1)))
         assert converged
         assert _gap(a, mass, weights.p) <= GAP_TOL
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(rows=st.integers(1, 15), k=st.integers(1, 45), seed=st.integers(0, 2**32 - 1))
+def test_qp_minimiser_does_not_depend_on_the_start(rows, k, seed):
+    # the Newton QP of one outer SQP step: H = S'S + ridge, S of size
+    # rows x k, at a random interior point x of a sparse mass matrix
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(rows, k)) * (rng.uniform(size=(rows, k)) < 0.5)
+    a[np.arange(rows), rng.integers(k, size=rows)] += 1.0
+    v = rng.dirichlet(np.ones(rows))
+    x = rng.dirichlet(np.ones(k))
+    theta = a @ x
+    s = a * (np.sqrt(v) / theta)[:, None]
+    h = s.T @ s
+    h.flat[:: k + 1] += SQP_RIDGE * np.trace(h) / k
+    c = 1.0 - a.T @ (v / theta) - h @ x
+
+    full = _nonnegative_qp(h, c, np.ones(k))
+    sparse = rng.uniform(size=k) * (rng.uniform(size=k) < 0.3)
+    starts = {"zero": np.zeros(k), "sparse": sparse, "optimal support": full}
+    solutions = {"full": full, **{name: _nonnegative_qp(h, c, y0) for name, y0 in starts.items()}}
+    objective = {name: 0.5 * y @ h @ y + c @ y for name, y in solutions.items()}
+    best = min(objective.values())
+    for name, y in solutions.items():
+        assert objective[name] - best <= 1e-12 * abs(best), name
+        assert np.all(y >= 0.0), name
+        grad = h @ y + c
+        scale = np.abs(h).max() * np.abs(y).max() + np.abs(c).max()
+        assert np.all(np.abs(grad[y > 0.0]) <= 1e-12 * scale), name
+        assert np.all(grad[y == 0.0] >= -QP_TOL), name

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from bernmix import (
     lower_bound_degree,
     select_degree,
 )
+from bernmix.cli import read_grouped_csv
+from bernmix.em import GAP_TOL, _grouped_problem, _loglik, _raw_problem
+from bernmix.likelihood import loglik_grouped, loglik_raw
 from bernmix.sim import ScenarioSpec, scenario_distribution
+
+CHICKEN_CSV = Path(__file__).resolve().parent.parent / "data" / "chicken_embryo.csv"
 
 
 def r_profile_reference(logliks):
@@ -179,3 +185,38 @@ class TestSelectDegree:
                 trace = select_degree(g, (0.0, 1.0), degrees=range(1, 13))
                 hits += trace.m_hat >= 4
         assert hits >= 0.9 * reps
+
+    def test_chicken_embryo_scan_outer_steps(self):
+        # a count, not a timing: the scan takes 158 outer steps when each
+        # degree starts from the elevated previous fit, and 184 when the
+        # start frees every entry (elevated fit mixed with 1% uniform)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            trace = select_degree(read_grouped_csv(CHICKEN_CSV), (0.0, 21.0), degrees=range(2, 51))
+        assert trace.m_hat == 13
+        assert sum(f.iterations for f in trace.fits) <= 160
+        assert all(f.stop_reason == "converged" and f.gap <= GAP_TOL for f in trace.fits)
+
+    def test_scan_logliks_equal_the_likelihood_functions(self):
+        rng = np.random.default_rng(21)
+        raw = RawSample(rng.beta(2, 5, size=150))
+        grouped = group(raw, 10)
+        for data, loglik in (
+            (raw, lambda w: loglik_raw(w, raw)),
+            (grouped, lambda w: loglik_grouped(w, grouped, (0.0, 1.0))),
+        ):
+            trace = select_degree(data, (0.0, 1.0), degrees=range(1, 13))
+            for fit in trace.fits:
+                assert fit.loglik == pytest.approx(loglik(fit.weights), rel=0.0, abs=1e-12)
+
+    def test_mass_matrix_loglik_of_an_excluded_cell_is_minus_inf(self):
+        # all weight on the first component: its mass on (0.99, 1] is
+        # 0.01**201, 0 in floating point, and a point at 1 has density 0
+        m = 200
+        w = SimplexWeights(np.eye(m + 1)[0])
+        g = GroupedSample([0.0, 0.5, 0.99, 1.0], [3, 4, 1])
+        a, counts = _grouped_problem(g, (0.0, 1.0), m)
+        assert _loglik(a, counts, w.p) == loglik_grouped(w, g, (0.0, 1.0)) == -np.inf
+        raw = RawSample(np.array([0.2, 1.0]))
+        b, ones = _raw_problem(raw, m)
+        assert _loglik(b, ones, w.p) == loglik_raw(w, raw) == -np.inf
