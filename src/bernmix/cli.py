@@ -13,13 +13,14 @@ degree_mean,degree_var,replicates.
 
 All floats are serialized with 17 significant digits, UTF-8, LF line
 endings.  Exit codes: 0 ok, 2 input error, 3 non-convergence, 4 eval
-domain flag, 5 harness failure.  A warning of the degree scan (a first
-degree not below the moment lower bound, a loglik that fell along the
-scan) is printed as one "bernmix: note: ..." line on stderr and does not
-change the exit code.
+domain flag, 5 harness failure.  A warning of a degree scan in fit
+--select or simulate (a first degree not below the moment lower bound,
+a loglik that fell along the scan) is printed once as one
+"bernmix: note: ..." line on stderr and does not change the exit code.
 """
 
 import argparse
+import contextlib
 import math
 import sys
 import warnings
@@ -162,6 +163,13 @@ def _parse_support(text):
     return (a, b)
 
 
+def _grouped_support(text, grouped):
+    """--support text, or the breakpoint span of grouped data when absent."""
+    if text:
+        return _parse_support(text)
+    return (float(grouped.breakpoints[0]), float(grouped.breakpoints[-1]))
+
+
 def _parse_degrees(text):
     if ".." not in text:
         raise CliInputError(f"--degrees must be 'm0..mk', got {text!r}")
@@ -219,6 +227,18 @@ def _selection_doc(trace):
     }
 
 
+@contextlib.contextmanager
+def _scan_notes():
+    """Print each distinct warning raised inside as one stderr note, once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"bernmix: note: {message}", file=sys.stderr)
+
+
 def cmd_fit(args):
     if (args.grouped is None) == (args.raw is None):
         raise CliInputError("exactly one of --grouped/--raw is required")
@@ -227,13 +247,8 @@ def cmd_fit(args):
     degrees = _parse_degrees(args.degrees) if args.degrees else None
 
     if args.grouped is not None:
-        grouped = read_grouped_csv(args.grouped)
-        support = (
-            _parse_support(args.support)
-            if args.support
-            else (float(grouped.breakpoints[0]), float(grouped.breakpoints[-1]))
-        )
-        data = grouped
+        data = read_grouped_csv(args.grouped)
+        support = _grouped_support(args.support, data)
     else:
         values = read_raw_values(args.raw)
         if args.support is None:
@@ -248,13 +263,8 @@ def cmd_fit(args):
 
     selection = None
     if args.select:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                trace = select_degree(data, support, degrees=degrees)
-            finally:
-                for note in caught:
-                    print(f"bernmix: note: {note.message}", file=sys.stderr)
+        with _scan_notes():
+            trace = select_degree(data, support, degrees=degrees)
         selection = _selection_doc(trace)
         report = trace.best_fit
     else:
@@ -308,9 +318,6 @@ def cmd_eval(args):
     return EXIT_OK if inside.all() else EXIT_EVAL_DOMAIN
 
 
-MISE_CSV_HEADER = "scenario,n,cells,estimator,mise,weighted_mise,degree_mean,degree_var,replicates"
-
-
 def cmd_simulate(args):
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     if not estimators:
@@ -324,59 +331,41 @@ def cmd_simulate(args):
         seed=args.seed,
         degrees=degrees,
     )
-    reports = [mise(spec, est) for est in estimators]
+    with _scan_notes():
+        reports = [mise(spec, est) for est in estimators]
+    rows = [
+        {
+            "scenario": args.scenario,
+            "n": args.n,
+            "cells": args.cells,
+            "estimator": rep.estimator,
+            "mise": rep.mise,
+            "weighted_mise": rep.weighted_mise,
+            "degree_mean": rep.degree_mean,
+            "degree_var": rep.degree_var,
+            "replicates": rep.replicates_used,
+        }
+        for rep in reports
+    ]
 
-    def opt(v):
-        return "" if v is None else _fmt(v)
+    def cell(v):
+        if v is None:
+            return ""
+        return str(v) if isinstance(v, (str, int)) else _fmt(v)
 
-    lines = [MISE_CSV_HEADER]
-    for rep in reports:
-        lines.append(
-            ",".join(
-                [
-                    args.scenario,
-                    str(args.n),
-                    str(args.cells),
-                    rep.estimator,
-                    _fmt(rep.mise),
-                    _fmt(rep.weighted_mise),
-                    opt(rep.degree_mean),
-                    opt(rep.degree_var),
-                    str(rep.replicates_used),
-                ]
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    # the CSV header is the JSON keys; --estimators names at least one row
+    lines = [",".join(rows[0])] + [",".join(cell(v) for v in row.values()) for row in rows]
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
     if args.json:
-        doc = [
-            {
-                "scenario": args.scenario,
-                "n": args.n,
-                "cells": args.cells,
-                "estimator": rep.estimator,
-                "mise": rep.mise,
-                "weighted_mise": rep.weighted_mise,
-                "degree_mean": rep.degree_mean,
-                "degree_var": rep.degree_var,
-                "replicates": rep.replicates_used,
-            }
-            for rep in reports
-        ]
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_dumps(doc) + "\n")
+            fh.write(_json_dumps(rows) + "\n")
     return EXIT_OK
 
 
 def cmd_lower_bound(args):
     grouped = read_grouped_csv(args.grouped)
-    support = (
-        _parse_support(args.support)
-        if args.support
-        else (float(grouped.breakpoints[0]), float(grouped.breakpoints[-1]))
-    )
-    print(lower_bound_degree(grouped, support))
+    print(lower_bound_degree(grouped, _grouped_support(args.support, grouped)))
     return EXIT_OK
 
 

@@ -1,35 +1,41 @@
 """Weight solvers for the maximum Bernstein likelihood estimate.
 
-Every fit maximises sum_i w_i log (A p)_i over the m-simplex, where row i
-of the mass matrix A holds the m+1 basis densities at a raw observation
-(w_i = 1) or the m+1 basis masses of a cell (w_i = its count).  The
-loglik is concave in p, so the gradient g = A^T (w / A p) / n (n = sum
-w) gives a free certificate: the loglik of p is at most
+Every fit is one weighted-row problem: maximise sum_i w_i log (A p)_i
+over the m-simplex, where row i of the mass matrix A holds the m+1 basis
+densities or masses of one row of data and w_i > 0 is its weight.
+
+- Raw data: one row per observation, its basis densities, weight 1.
+- Grouped data: one row per populated cell, its basis masses, weighted
+  by its count.  Empty cells carry nothing and are dropped when the
+  problem is built (_problem), so no solver sees a row of weight 0.
+- A known density (the population fit of the acceptance-rejection
+  diagnostic): one row per Gauss-Legendre atom, its basis densities,
+  weighted by its quadrature mass.
+
+The loglik is concave in p, so the gradient g = A^T (w / A p) / n
+(n = sum w) gives a free certificate: the loglik of p is at most
 n (max_j g_j - 1) below the maximum (the Lindsay/Boehning gradient
-bound).  Every FitReport carries that gap at its returned weights.
+bound).  Every FitReport carries that gap at its returned weights, and
+every fit runs the same path (_fit): build the problem, solve it, report.
 
 Two solvers share this form:
 
-- EM, the paper's algorithm (em_raw and em_grouped): the multiplicative map
-  p_j <- p_j g_j from a strictly positive start, which converges to the
-  maximiser.  It stops when the relative loglik change
-  |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol, or after
-  EmConfig.max_iter updates; that stop says nothing about the gap.
+- EM, the paper's algorithm (em_raw and em_grouped, one step em_step):
+  the multiplicative map p_j <- p_j g_j from a strictly positive start,
+  which converges to the maximiser.  It stops when the relative loglik
+  change |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol, or
+  after EmConfig.max_iter updates; that stop says nothing about the gap.
 - The certified solver behind every fit of a degree scan
-  (select_degree) and the population fit of the acceptance-rejection
-  diagnostic (sim.best_mixture_approximation): active-set SQP on the
-  mixSQP form of the problem (Kim, Carbonetto, Stephens and Anitescu,
-  JCGS 2020).  Its line search accepts a trial point only if every row
-  mass (A p)_i keeps more than ROW_MASS_SHARE of its current value, so
-  that a cold start of high degree cannot strand a tail row near 0.  It
-  stops when the gap is at most GAP_TOL, or after SQP_MAX_STEPS outer
-  steps.  Each outer step's QP starts from the previous step's QP
-  solution (the start weights at the first step), so the active set is
-  carried along instead of being re-derived from the full support.
-
-With n_l observations in cell l every one of them has the same
-responsibility, which is why the grouped EM update sums over cells
-rather than observations.
+  (select_degree) and the population fit (sim.best_mixture_approximation):
+  active-set SQP on the mixSQP form of the problem (Kim, Carbonetto,
+  Stephens and Anitescu, JCGS 2020).  Its line search accepts a trial
+  point only if every row mass (A p)_i keeps more than ROW_MASS_SHARE of
+  its current value, so that a cold start of high degree cannot strand a
+  tail row near 0.  It stops when the gap is at most GAP_TOL, or after
+  SQP_MAX_STEPS outer steps.  Each outer step's QP starts from the
+  previous step's QP solution (the start weights at the first step), so
+  the active set is carried along instead of being re-derived from the
+  full support.
 """
 
 import time
@@ -40,15 +46,14 @@ import numpy as np
 
 from .basis import basis_matrix
 from .likelihood import RawSample
-from .model import SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
+from .model import GroupedSample, SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
 
 __all__ = [
     "EmConfig",
     "FitReport",
     "em_raw",
     "em_grouped",
-    "em_step_raw",
-    "em_step_grouped",
+    "em_step",
 ]
 
 OUTPUT_WEIGHT_FLOOR = 1e-12
@@ -100,16 +105,16 @@ class EmConfig:
 class FitReport:
     """Outcome of one fit.
 
-    iterations counts EM updates, or outer SQP steps for the fits of a
-    degree scan.  loglik_trace[s] is the loglik of the s-th iterate
-    (index 0 is the init); for EM it is nondecreasing.  residual is the
-    max-norm change one extra EM update would make to the returned
-    weights, or the max-norm of the last SQP step.  gap is
-    n (max_j g_j - 1) at the returned weights, an upper bound on how far
-    loglik sits below the maximum.  stop_reason is "converged" (EM: the
-    relative loglik change fell below tol; SQP: the gap reached GAP_TOL)
-    or "max_iter".  elapsed_s is the wall time of the fit in seconds, from
-    the mass-matrix build to the report.
+    iterations counts EM updates, or outer SQP steps for the certified
+    fits (degree scan, population fit).  loglik_trace[s] is the loglik
+    of the s-th iterate (index 0 is the init); for EM it is
+    nondecreasing.  residual is the max-norm change one extra EM update
+    would make to the returned weights, or the max-norm of the last SQP
+    step.  gap is n (max_j g_j - 1) at the returned weights, an upper
+    bound on how far loglik sits below the maximum.  stop_reason is
+    "converged" (EM: the relative loglik change fell below tol; SQP: the
+    gap reached GAP_TOL) or "max_iter".  elapsed_s is the wall time of
+    the fit in seconds, from the mass-matrix build to the report.
     """
 
     weights: SimplexWeights
@@ -123,29 +128,19 @@ class FitReport:
     elapsed_s: float
 
 
-def em_step_raw(p, basis_mat):
-    """One raw-data EM update; returns (next weights, loglik at p).
+def em_step(p, mass_mat, row_weights):
+    """One EM update on populated rows; returns (next weights, loglik at p).
 
-    The mean responsibility collapses to p_j * sum_i B_ij/dens_i / n,
-    so the update is two matrix-vector products.
+    Row i claims the share p_j A_ij / (A p)_i of its weight w_i for
+    component j, so the update p_j <- p_j sum_i w_i A_ij / (A p)_i / n is
+    two matrix-vector products.
     """
-    dens = np.dot(basis_mat, p)
-    inv = 1.0 / dens
-    loglik = float(np.add.reduce(np.log(dens, out=dens)))
-    p_next = np.dot(inv, basis_mat)
+    theta = np.dot(mass_mat, p)
+    ratio = row_weights / theta
+    loglik = float(np.dot(row_weights, np.log(theta, out=theta)))
+    p_next = np.dot(ratio, mass_mat)
     p_next *= p
-    p_next /= dens.size
-    return p_next, loglik
-
-
-def em_step_grouped(p, cell_mat, counts):
-    """One grouped-data EM update over the populated cells only."""
-    theta = np.dot(cell_mat, p)
-    ratio = counts / theta
-    loglik = float(np.dot(counts, np.log(theta, out=theta)))
-    p_next = np.dot(ratio, cell_mat)
-    p_next *= p
-    p_next /= np.add.reduce(counts)
+    p_next /= np.add.reduce(row_weights)
     return p_next, loglik
 
 
@@ -154,23 +149,23 @@ def _output_weights(p):
     return SimplexWeights(out / out.sum())
 
 
-def _iterate(p0, step, config):
+def _iterate(p0, mass_mat, row_weights, config):
     p = np.asarray(p0, dtype=float)
-    p_next, ll = step(p)
+    p_next, ll = em_step(p, mass_mat, row_weights)
     # array("d"): a fit may run ~1e5 steps, a list of floats is 4x larger
     trace = array("d", [ll])
     append, tol = trace.append, config.tol
     iterations, converged = 0, False
     for iterations in range(1, config.max_iter + 1):
         p = p_next
-        p_next, ll_new = step(p)
+        p_next, ll_new = em_step(p, mass_mat, row_weights)
         append(ll_new)
         converged = abs(ll_new - ll) / (1.0 + abs(ll)) < tol
         ll = ll_new
         if converged:
             break
     residual = float(np.max(np.abs(p - p_next)))
-    return _output_weights(p), ll, iterations, np.array(trace), converged, residual
+    return _output_weights(p), iterations, np.array(trace), converged, residual
 
 
 def _resolve_init(config, m):
@@ -181,12 +176,6 @@ def _resolve_init(config, m):
             f"init has degree {config.init.m}, expected {m}"
         )
     return config.init.p
-
-
-def _populated(mass_mat, row_weights):
-    """Rows of positive weight: rows of zero weight carry nothing."""
-    pos = row_weights > 0
-    return mass_mat[pos], np.asarray(row_weights, dtype=float)[pos]
 
 
 def _nonnegative_qp(h, c, y):
@@ -225,8 +214,8 @@ def _nonnegative_qp(h, c, y):
     return y
 
 
-def _sqp_weighted(mass_mat, row_weights, p0):
-    """Certified weights of a mass matrix whose rows carry nonnegative weights.
+def _sqp_weighted(a, w, p0):
+    """Certified weights of a mass matrix a whose rows carry weights w > 0.
 
     Minimises f(x) = -sum_i v_i log (A x)_i + sum_j x_j over x >= 0 with
     v = w / n, whose minimiser is the simplex maximiser of the loglik.
@@ -241,7 +230,6 @@ def _sqp_weighted(mass_mat, row_weights, p0):
     the gap at x / sum x, is at most GAP_TOL.  Returns the _iterate
     tuple; iterations counts outer steps.
     """
-    a, w = _populated(mass_mat, row_weights)
     n = w.sum()
     v = w / n
     x = np.array(p0, dtype=float)
@@ -281,72 +269,76 @@ def _sqp_weighted(mass_mat, row_weights, p0):
             alpha *= 0.5
         step_norm = alpha * float(np.max(np.abs(d)))
         x, theta, f = x_new, theta_new, f_new
-    return _output_weights(x / total), trace[-1], steps, np.array(trace), converged, step_norm
+    return _output_weights(x / total), steps, np.array(trace), converged, step_norm
 
 
 def _gap(mass_mat, row_weights, p):
     """n (max_j g_j - 1) at p, g = A^T (w / A p) / n; inf if a row has mass 0."""
-    a, w = _populated(mass_mat, row_weights)
-    theta = a @ p
+    theta = mass_mat @ p
     if not np.all(theta > 0.0):
         return float("inf")
-    return float(np.max(a.T @ (w / theta)) - w.sum())
+    return float(np.max(mass_mat.T @ (row_weights / theta)) - row_weights.sum())
 
 
 def _loglik(mass_mat, row_weights, p):
-    """sum_i w_i log (A p)_i over the rows of positive weight.
+    """sum_i w_i log (A p)_i, -inf if a row has mass 0.
 
-    (A p) is clipped at 0 as in cell_probabilities, and a row of positive
-    weight with mass 0 gives -inf, so the value equals loglik_raw or
-    loglik_grouped of p on the data the mass matrix was built from.
+    (A p) is clipped at 0 as in cell_probabilities, so the value equals
+    loglik_raw or loglik_grouped of p on the data of the problem.
     """
     theta = np.clip(mass_mat @ p, 0.0, None)
-    pos = row_weights > 0
-    if np.any(theta[pos] <= 0.0):
+    if np.any(theta <= 0.0):
         return float("-inf")
-    return float(np.sum(row_weights[pos] * np.log(theta[pos])))
+    return float(np.sum(row_weights * np.log(theta)))
 
 
-def _report(solved, mass_mat, row_weights, start):
-    """FitReport of a solver tuple on the mass matrix it was solved on.
+def _problem(data, support, m):
+    """(mass matrix, row weights) of the degree-m fit, populated rows only.
 
-    start is the time.perf_counter() reading taken when the fit began.
+    data is a RawSample (rows: basis densities at the observations,
+    weight 1), a GroupedSample on support (rows: basis masses of the
+    cells, weighted by their counts) or a pair (unit-scale quadrature
+    atoms, their masses) of a known density (rows: basis densities at the
+    atoms).  Rows of weight 0 carry nothing and are dropped here, once.
     """
-    weights, _, iterations, trace, converged, residual = solved
+    if isinstance(data, RawSample):
+        if data.n == 0:
+            raise ValueError("need at least one observation")
+        return basis_matrix(m, data.unit_values()), np.ones(data.n)
+    if isinstance(data, GroupedSample):
+        if data.n < 1:
+            raise ValueError("need a positive total count")
+        pos = data.counts > 0
+        u = _covering_unit_breakpoints(data.breakpoints, support)
+        return cell_basis_matrix(m, u)[pos], data.counts[pos].astype(float)
+    atoms, masses = data
+    pos = masses > 0
+    return basis_matrix(m, atoms[pos]), masses[pos]
+
+
+def _fit(data, support, m, p0, config=None):
+    """FitReport of the degree-m fit of data (see _problem) from p0.
+
+    EM under config when one is given, else the certified solver.
+    """
+    start = time.perf_counter()
+    a, w = _problem(data, support, m)
+    if config is None:
+        solved = _sqp_weighted(a, w, p0)
+    else:
+        solved = _iterate(p0, a, w, config)
+    weights, iterations, trace, converged, residual = solved
     return FitReport(
         weights,
-        _loglik(mass_mat, row_weights, weights.p),
+        _loglik(a, w, weights.p),
         iterations,
         trace,
         converged,
         residual,
-        _gap(mass_mat, row_weights, weights.p),
+        _gap(a, w, weights.p),
         "converged" if converged else "max_iter",
         time.perf_counter() - start,
     )
-
-
-def _raw_problem(data, m):
-    if data.n == 0:
-        raise ValueError("need at least one observation")
-    return basis_matrix(m, data.unit_values()), np.ones(data.n)
-
-
-def _grouped_problem(grouped, support, m):
-    if grouped.n < 1:
-        raise ValueError("need a positive total count")
-    u = _covering_unit_breakpoints(grouped.breakpoints, support)
-    return cell_basis_matrix(m, u), grouped.counts
-
-
-def _certified_fit(data, support, m, p0):
-    """Degree-m fit of a RawSample or GroupedSample by the certified solver."""
-    start = time.perf_counter()
-    if isinstance(data, RawSample):
-        a, w = _raw_problem(data, m)
-    else:
-        a, w = _grouped_problem(data, support, m)
-    return _report(_sqp_weighted(a, w, p0), a, w, start)
 
 
 def em_raw(data, m, config=None):
@@ -356,12 +348,8 @@ def em_raw(data, m, config=None):
     until the loglik stalls.  Hitting max_iter is reported through
     converged=False, not an error.
     """
-    start = time.perf_counter()
     config = config or EmConfig()
-    b, w = _raw_problem(data, m)
-    p0 = _resolve_init(config, m)
-    solved = _iterate(p0, lambda p: em_step_raw(p, b), config)
-    return _report(solved, b, w, start)
+    return _fit(data, None, m, _resolve_init(config, m), config)
 
 
 def em_grouped(grouped, support, m, config=None):
@@ -370,11 +358,5 @@ def em_grouped(grouped, support, m, config=None):
     The cell/basis mass matrix is precomputed once; empty cells carry no
     weight in the update and are dropped up front.
     """
-    start = time.perf_counter()
     config = config or EmConfig()
-    a, w = _grouped_problem(grouped, support, m)
-    cells, counts = _populated(a, w)
-    solved = _iterate(
-        _resolve_init(config, m), lambda p: em_step_grouped(p, cells, counts), config
-    )
-    return _report(solved, a, w, start)
+    return _fit(grouped, support, m, _resolve_init(config, m), config)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import _certified_fit
+from .em import _fit
 from .errors import DegenerateDataError, SelectionError
 from .likelihood import RawSample
 from .model import GroupedSample, to_unit
@@ -149,7 +149,8 @@ def select_degree(data, support=None, degrees=None):
     Parameters
     ----------
     data : GroupedSample or RawSample
-        Grouped data need an explicit support; raw data carry their own.
+        Grouped data need an explicit support; raw data carry their own,
+        and a support that differs from it raises ValueError.
     degrees : sequence of int, optional
         Consecutive degrees m_0..m_0+k with k >= 2.  Default is the
         moment lower bound minus 5 (floored at 1) through bound plus 30.
@@ -159,8 +160,11 @@ def select_degree(data, support=None, degrees=None):
     DegreeSelectionTrace
     """
     if isinstance(data, RawSample):
-        if support is None:
-            support = data.support
+        if support is not None and tuple(map(float, support)) != data.support:
+            raise ValueError(
+                f"raw data carry their own support {data.support}, "
+                f"not {tuple(map(float, support))}"
+            )
         bound = _raw_lower_bound(data)
     elif isinstance(data, GroupedSample):
         if support is None:
@@ -191,7 +195,7 @@ def select_degree(data, support=None, degrees=None):
             p0 = fits[-1].weights.elevate(1).p
         else:
             p0 = np.full(m + 1, 1.0 / (m + 1))
-        fits.append(_certified_fit(data, support, int(m), p0))
+        fits.append(_fit(data, support, int(m), p0))
 
     logliks = np.asarray([f.loglik for f in fits])
     increments = np.diff(logliks)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import baselines
 from .basis import basis_matrix
-from .em import _gap, _sqp_weighted
+from .em import _fit
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample
 from .model import GroupedSample
@@ -410,14 +410,13 @@ def best_mixture_approximation(pdf, m, nodes=512):
     mass = half * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    a = basis_matrix(m, t)
-    weights, _, steps, _, converged, _ = _sqp_weighted(a, mass, np.full(m + 1, 1.0 / (m + 1)))
-    if not converged:
+    fit = _fit((t, mass), None, m, np.full(m + 1, 1.0 / (m + 1)))
+    if not fit.converged:
         raise ValueError(
-            f"population fit at degree {m} stopped after {steps} steps "
-            f"with gap {_gap(a, mass, weights.p):.3g}"
+            f"population fit at degree {m} stopped after {fit.iterations} steps "
+            f"with gap {fit.gap:.3g}"
         )
-    return weights
+    return fit.weights
 
 
 def _inverse_cdf_sampler(pdf, grid_points=4001):

@@ -15,7 +15,7 @@ import pytest
 
 import bernmix as bm
 import bernmix.cli
-from bernmix.em import em_step_grouped, em_step_raw
+from bernmix.em import em_step
 from bernmix.model import cell_basis_matrix
 from bernmix.sim import best_mixture_approximation, true_unit_pdf
 
@@ -56,7 +56,7 @@ def test_c01_em_ascent_and_fixed_point():
         if kind == "raw":
             rep = bm.em_raw(data, m, bm.EmConfig(tol=1e-11, max_iter=300_000))
             b = bm.basis_matrix(m, data.unit_values())
-            step = lambda p: em_step_raw(p, b)
+            step = lambda p: em_step(p, b, np.ones(data.n))
         else:
             rep = bm.em_grouped(
                 grouped, (0, 1), m, bm.EmConfig(tol=1e-12, max_iter=300_000)
@@ -64,7 +64,7 @@ def test_c01_em_ascent_and_fixed_point():
             pos = grouped.counts > 0
             a_mat = cell_basis_matrix(m, grouped.breakpoints)[pos]
             cnt = grouped.counts[pos].astype(float)
-            step = lambda p: em_step_grouped(p, a_mat, cnt)
+            step = lambda p: em_step(p, a_mat, cnt)
         assert np.all(np.diff(rep.loglik_trace) >= -1e-10)
         p_next, ll_here = step(rep.weights.p)
         _, ll_next = step(p_next)

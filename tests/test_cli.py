@@ -273,6 +273,27 @@ class TestSimulate:
         assert mise["mble"] > 0.0 and mise["kernel"] > 0.0
         assert rows[0][6] != "" and rows[1][6] == ""
 
+    def test_scan_warning_is_one_stderr_note(self, tmp_path):
+        # every replicate's scan warns that degree 1 is not below the lower
+        # bound 1; a fresh process shows what a user sees
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bernmix.cli", "simulate", "--scenario", "exp1", "--n", "100",
+             "--cells", "10", "--replicates", "3", "--degrees", "1..40", "--estimators", "mble",
+             "--out", str(tmp_path / "mise.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "UserWarning" not in proc.stderr and "sim.py" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "bernmix: note: first degree 1 is not below the estimated lower bound 1; "
+            "the change point may sit at the left edge"
+        ]
+
     def test_unknown_scenario_is_input_error(self, tmp_path):
         assert main([
             "simulate", "--scenario", "cauchy", "--n", "10", "--cells", "2",

@@ -23,12 +23,11 @@ from bernmix.em import (
     GAP_TOL,
     QP_TOL,
     SQP_RIDGE,
-    _certified_fit,
-    _gap,
+    _fit,
+    _loglik,
     _nonnegative_qp,
-    _sqp_weighted,
-    em_step_grouped,
-    em_step_raw,
+    _problem,
+    em_step,
 )
 from bernmix.model import cell_basis_matrix
 from bernmix.sim import true_unit_pdf
@@ -163,8 +162,9 @@ class TestEmProperties:
         rep = em_raw(data, 6, EmConfig(tol=1e-11))
         b = basis_matrix(6, data.unit_values())
         p = np.maximum(rep.weights.p, 1e-300)
-        p_next, ll_here = em_step_raw(p, b)
-        _, ll_next = em_step_raw(p_next, b)
+        ones = np.ones(data.n)
+        p_next, ll_here = em_step(p, b, ones)
+        _, ll_next = em_step(p_next, b, ones)
         assert abs(ll_next - ll_here) < 1e-8
         assert rep.residual < 1e-6
 
@@ -213,8 +213,8 @@ class TestEmProperties:
         for fit in (
             lambda: em_raw(data, 4),
             lambda: em_grouped(g_data, (0, 1), 4),
-            lambda: _certified_fit(data, (0, 1), 4, p0),
-            lambda: _certified_fit(g_data, (0, 1), 4, p0),
+            lambda: _fit(data, (0, 1), 4, p0),
+            lambda: _fit(g_data, (0, 1), 4, p0),
         ):
             start = time.perf_counter()
             rep = fit()
@@ -242,11 +242,11 @@ class TestCertifiedSolver:
             uniform = np.full(m + 1, 1.0 / (m + 1))
             if i % 2:
                 ref = em_raw(data, m, tight)
-                rep = _certified_fit(data, data.support, m, uniform)
+                rep = _fit(data, data.support, m, uniform)
             else:
                 g = group(data, int(rng.integers(5, 31)))
                 ref = em_grouped(g, (0, 1), m, tight)
-                rep = _certified_fit(g, (0.0, 1.0), m, uniform)
+                rep = _fit(g, (0.0, 1.0), m, uniform)
             assert rep.stop_reason == "converged"
             assert rep.loglik >= ref.loglik - 1e-9
             assert rep.gap <= 1e-8
@@ -262,8 +262,8 @@ class TestCertifiedSolver:
         counts[10:22] = rng.integers(0, 9, size=12)
         g = GroupedSample(np.linspace(0.0, 1.0, 41), counts)
         for rep, ref in (
-            (_certified_fit(data, data.support, 8, np.full(9, 1.0 / 9)), em_raw(data, 8, tight)),
-            (_certified_fit(g, (0.0, 1.0), 30, np.full(31, 1.0 / 31)), em_grouped(g, (0, 1), 30, tight)),
+            (_fit(data, data.support, 8, np.full(9, 1.0 / 9)), em_raw(data, 8, tight)),
+            (_fit(g, (0.0, 1.0), 30, np.full(31, 1.0 / 31)), em_grouped(g, (0, 1), 30, tight)),
         ):
             assert rep.stop_reason == "converged"
             assert rep.gap <= 1e-8
@@ -279,10 +279,9 @@ class TestCertifiedSolver:
         x, w = np.polynomial.legendre.leggauss(nodes)
         t = 0.5 * (x + 1.0)
         mass = 0.5 * w * true_unit_pdf(ScenarioSpec(tag, n=1, n_cells=1))(t)
-        a = basis_matrix(m, t)
-        weights, _, _, _, converged, _ = _sqp_weighted(a, mass, np.full(m + 1, 1.0 / (m + 1)))
-        assert converged
-        assert _gap(a, mass, weights.p) <= GAP_TOL
+        rep = _fit((t, mass), None, m, np.full(m + 1, 1.0 / (m + 1)))
+        assert rep.converged
+        assert rep.gap <= GAP_TOL
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -314,3 +313,44 @@ def test_qp_minimiser_does_not_depend_on_the_start(rows, k, seed):
         scale = np.abs(h).max() * np.abs(y).max() + np.abs(c).max()
         assert np.all(np.abs(grad[y > 0.0]) <= 1e-12 * scale), name
         assert np.all(grad[y == 0.0] >= -QP_TOL), name
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(1, 200),
+    cells=st.integers(1, 25),
+    m=st.integers(0, 40),
+    ends=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_row_problem_matches_the_likelihoods(n, cells, m, ends, seed):
+    # a raw sample (with up to two points at the support ends, where only
+    # one basis density is positive), its grouping into cells some of which
+    # are empty, and simplex weights with some entries at exactly 0
+    rng = np.random.default_rng(seed)
+    x = rng.beta(rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0), size=n)
+    x[: min(ends, n)] = rng.integers(0, 2, size=min(ends, n))
+    raw = RawSample(x)
+    grouped = group(raw, cells)
+    p = rng.dirichlet(np.ones(m + 1)) * (rng.uniform(size=m + 1) < 0.7)
+    p[rng.integers(m + 1)] += 0.1
+    w = SimplexWeights(p / p.sum())
+    for data, support, loglik in (
+        (raw, None, loglik_raw),
+        (grouped, (0.0, 1.0), lambda w, g: loglik_grouped(w, g, (0.0, 1.0))),
+    ):
+        a, rows = _problem(data, support, m)
+        assert np.all(rows > 0.0)
+        ll = _loglik(a, rows, w.p)
+        want = loglik(w, data)
+        assert not np.isnan(ll)
+        assert ll == want or abs(ll - want) <= 1e-12
+        elevated = loglik(w.elevate(1), data)
+        if np.isfinite(ll):
+            assert abs(elevated - ll) <= 1e-10
+            p_next, ll_step = em_step(w.p, a, rows)
+            assert ll_step == pytest.approx(ll, rel=0.0, abs=1e-12)
+            assert np.all(p_next >= 0.0)
+            assert abs(p_next.sum() - 1.0) <= 1e-12
+        else:
+            assert ll == elevated == -np.inf

@@ -21,7 +21,7 @@ from bernmix import (
     select_degree,
 )
 from bernmix.cli import read_grouped_csv
-from bernmix.em import GAP_TOL, _grouped_problem, _loglik, _raw_problem
+from bernmix.em import GAP_TOL, _loglik, _problem
 from bernmix.likelihood import loglik_grouped, loglik_raw
 from bernmix.sim import ScenarioSpec, scenario_distribution
 
@@ -171,6 +171,15 @@ class TestSelectDegree:
         with pytest.raises(ValueError):
             select_degree(data, degrees=[1, 3, 5])
 
+    def test_raw_support_other_than_the_samples_is_rejected(self):
+        # raw data are scaled by their own support; a different one used
+        # to be ignored without a word
+        data = RawSample(np.random.default_rng(0).uniform(size=50))
+        with pytest.raises(ValueError, match="own support"):
+            select_degree(data, (0.0, 5.0), degrees=range(6))
+        same = select_degree(data, [0, 1], degrees=range(6))
+        np.testing.assert_array_equal(same.logliks, select_degree(data, degrees=range(6)).logliks)
+
     def test_recovers_at_least_true_degree(self):
         # bimodal degree-4 mixture: no cubic has two interior modes, so
         # the scan should essentially never pick less than 4
@@ -215,8 +224,8 @@ class TestSelectDegree:
         m = 200
         w = SimplexWeights(np.eye(m + 1)[0])
         g = GroupedSample([0.0, 0.5, 0.99, 1.0], [3, 4, 1])
-        a, counts = _grouped_problem(g, (0.0, 1.0), m)
+        a, counts = _problem(g, (0.0, 1.0), m)
         assert _loglik(a, counts, w.p) == loglik_grouped(w, g, (0.0, 1.0)) == -np.inf
         raw = RawSample(np.array([0.2, 1.0]))
-        b, ones = _raw_problem(raw, m)
+        b, ones = _problem(raw, None, m)
         assert _loglik(b, ones, w.p) == loglik_raw(w, raw) == -np.inf

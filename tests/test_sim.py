@@ -18,7 +18,7 @@ from bernmix import (
     scenario_distribution,
 )
 from bernmix import em
-from bernmix.em import EmConfig, _iterate, em_step_grouped
+from bernmix.em import EmConfig, _iterate
 from bernmix.sim import SCENARIO_TAGS, best_mixture_approximation, true_unit_pdf
 
 
@@ -205,7 +205,8 @@ class TestAcceptanceRejection:
             a = basis_matrix(m, t)
             em_weights = _iterate(
                 np.full(m + 1, 1.0 / (m + 1)),
-                lambda p: em_step_grouped(p, a, mass),
+                a,
+                mass,
                 EmConfig(tol=1e-15, max_iter=2_000_000),
             )[0]
             c_em, _ = acceptance_rejection_diag(f, em_weights, n=10, seed=7)
