@@ -12,7 +12,7 @@ truncated data are fair.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class ParametricFamily:
     init: callable  # (mean, variance) -> natural params
     to_z: callable
     from_z: callable
-    known: dict = field(default_factory=dict)
 
     @property
     def n_free(self):
@@ -152,7 +151,6 @@ def pareto_family(scale=0.5):
         init=init,
         to_z=np.log,
         from_z=np.exp,
-        known={"scale": scale},
     )
 
 

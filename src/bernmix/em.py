@@ -2,15 +2,11 @@
 
 Every fit is one weighted-row problem: maximise sum_i w_i log (A p)_i
 over the m-simplex, where row i of the mass matrix A holds the m+1 basis
-densities or masses of one row of data and w_i > 0 is its weight.
-
-- Raw data: one row per observation, its basis densities, weight 1.
-- Grouped data: one row per populated cell, its basis masses, weighted
-  by its count.  Empty cells carry nothing and are dropped when the
-  problem is built (_problem), so no solver sees a row of weight 0.
-- A known density (the population fit of the acceptance-rejection
-  diagnostic): one row per Gauss-Legendre atom, its basis densities,
-  weighted by its quadrature mass.
+densities or masses of one row of data and w_i > 0 is its weight.  The
+likelihood module builds that problem from raw, grouped or population
+data (likelihood._problem, populated rows only) and evaluates its loglik
+(likelihood._loglik); this module only solves it and certifies the
+result.
 
 The loglik is concave in p, so the gradient g = A^T (w / A p) / n
 (n = sum w) gives a free certificate: the loglik of p is at most
@@ -44,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix
-from .likelihood import RawSample
-from .model import GroupedSample, SimplexWeights, _covering_unit_breakpoints, cell_basis_matrix
+from .likelihood import _loglik, _problem
+from .model import SimplexWeights
 
 __all__ = [
     "EmConfig",
@@ -170,7 +165,7 @@ def _iterate(p0, mass_mat, row_weights, config):
 
 def _resolve_init(config, m):
     if config.init is None:
-        return np.full(m + 1, 1.0 / (m + 1))
+        return None
     if config.init.m != m:
         raise ValueError(
             f"init has degree {config.init.m}, expected {m}"
@@ -280,48 +275,18 @@ def _gap(mass_mat, row_weights, p):
     return float(np.max(mass_mat.T @ (row_weights / theta)) - row_weights.sum())
 
 
-def _loglik(mass_mat, row_weights, p):
-    """sum_i w_i log (A p)_i, -inf if a row has mass 0.
+def _fit(data, support, m, p0=None, config=None):
+    """FitReport of the degree-m fit of data (see likelihood._problem).
 
-    (A p) is clipped at 0 as in cell_probabilities, so the value equals
-    loglik_raw or loglik_grouped of p on the data of the problem.
+    Starts from p0, or from the uniform weights when p0 is None; runs EM
+    under config when one is given, else the certified solver.  A
+    negative degree raises ValueError.
     """
-    theta = np.clip(mass_mat @ p, 0.0, None)
-    if np.any(theta <= 0.0):
-        return float("-inf")
-    return float(np.sum(row_weights * np.log(theta)))
-
-
-def _problem(data, support, m):
-    """(mass matrix, row weights) of the degree-m fit, populated rows only.
-
-    data is a RawSample (rows: basis densities at the observations,
-    weight 1), a GroupedSample on support (rows: basis masses of the
-    cells, weighted by their counts) or a pair (unit-scale quadrature
-    atoms, their masses) of a known density (rows: basis densities at the
-    atoms).  Rows of weight 0 carry nothing and are dropped here, once.
-    """
-    if isinstance(data, RawSample):
-        if data.n == 0:
-            raise ValueError("need at least one observation")
-        return basis_matrix(m, data.unit_values()), np.ones(data.n)
-    if isinstance(data, GroupedSample):
-        if data.n < 1:
-            raise ValueError("need a positive total count")
-        pos = data.counts > 0
-        u = _covering_unit_breakpoints(data.breakpoints, support)
-        return cell_basis_matrix(m, u)[pos], data.counts[pos].astype(float)
-    atoms, masses = data
-    pos = masses > 0
-    return basis_matrix(m, atoms[pos]), masses[pos]
-
-
-def _fit(data, support, m, p0, config=None):
-    """FitReport of the degree-m fit of data (see _problem) from p0.
-
-    EM under config when one is given, else the certified solver.
-    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
     start = time.perf_counter()
+    if p0 is None:
+        p0 = np.full(m + 1, 1.0 / (m + 1))
     a, w = _problem(data, support, m)
     if config is None:
         solved = _sqp_weighted(a, w, p0)

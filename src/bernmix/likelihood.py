@@ -1,19 +1,40 @@
 """Bernstein loglikelihood for raw, grouped, and rounded data.
 
+This module owns the weighted-row problem that every fit and every loglik
+reads: the loglik of mixture weights p is sum_i w_i log (A p)_i, where
+row i of the mass matrix A holds the m+1 basis densities or masses of one
+row of data and w_i > 0 is its weight (_problem builds the pair, _loglik
+evaluates it).
+
+- Raw data: one row per observation, its basis densities, weight 1.
+- Grouped data: one row per populated cell, its basis masses, weighted
+  by its count.  Empty cells carry nothing and are dropped when the
+  problem is built, so no solver sees a row of weight 0.
+- A known density (the population fit of the acceptance-rejection
+  diagnostic): one row per quadrature atom, its basis densities,
+  weighted by its quadrature mass.
+
 All logliks follow the unit-scale convention: the constant Jacobian term
 n*log(b-a) is dropped, since degree selection and EM always compare
 likelihoods at fixed data and support.  Infeasible configurations (an
 observation or a populated cell with zero model probability) return -inf
 rather than raising, so optimizers can treat them as ordinary very bad
-values.
+values.  A sample without observations (raw size 0, grouped total count
+0) raises ValueError.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
-from .model import GroupedSample, cell_probabilities, to_unit
+from .basis import basis_matrix
+from .model import (
+    GroupedSample,
+    _checked_support,
+    _covering_unit_breakpoints,
+    cell_basis_matrix,
+    to_unit,
+)
 
 __all__ = [
     "RawSample",
@@ -34,9 +55,7 @@ class RawSample:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        a, b = float(self.support[0]), float(self.support[1])
-        if not a < b:
-            raise ValueError(f"support must satisfy a < b, got [{a}, {b}]")
+        a, b = _checked_support(self.support)
         if values.ndim != 1:
             raise ValueError("values must be a 1-d vector")
         if not np.all(np.isfinite(values)):
@@ -85,18 +104,49 @@ class RoundedSample:
         return self.values.size
 
 
+def _problem(data, support, m):
+    """(mass matrix, row weights) of the degree-m problem, populated rows only.
+
+    data is a RawSample (rows: basis densities at the observations,
+    weight 1), a GroupedSample on support (rows: basis masses of the
+    cells, weighted by their counts) or a pair (unit-scale quadrature
+    atoms, their masses) of a known density (rows: basis densities at the
+    atoms).  Rows of weight 0 carry nothing and are dropped here, once.
+    """
+    if isinstance(data, RawSample):
+        if data.n == 0:
+            raise ValueError("need at least one observation")
+        return basis_matrix(m, data.unit_values()), np.ones(data.n)
+    if isinstance(data, GroupedSample):
+        if data.n < 1:
+            raise ValueError("need a positive total count")
+        pos = data.counts > 0
+        u = _covering_unit_breakpoints(data.breakpoints, support)
+        return cell_basis_matrix(m, u)[pos], data.counts[pos].astype(float)
+    atoms, masses = data
+    pos = masses > 0
+    return basis_matrix(m, atoms[pos]), masses[pos]
+
+
+def _loglik(mass_mat, row_weights, p):
+    """sum_i w_i log (A p)_i, -inf if a row has mass 0.
+
+    (A p) is clipped at 0 as in cell_probabilities, so rounding below 0
+    reads as a massless row.
+    """
+    theta = np.clip(mass_mat @ p, 0.0, None)
+    if np.any(theta <= 0.0):
+        return float("-inf")
+    return float(np.sum(row_weights * np.log(theta)))
+
+
 def loglik_raw(weights, data):
     """sum_i log f_m(u_i; p) for raw data, on the unit scale.
 
     Returns -inf when any observation has zero density under the weights
     (e.g. a point mass at an endpoint the mixture excludes).
     """
-    if data.n == 0:
-        raise ValueError("need at least one observation")
-    dens = basis.basis_matrix(weights.m, data.unit_values()) @ weights.p
-    if np.any(dens <= 0.0):
-        return float("-inf")
-    return float(np.log(dens).sum())
+    return _loglik(*_problem(data, None, weights.m), weights.p)
 
 
 def loglik_grouped(weights, grouped, support):
@@ -105,12 +155,7 @@ def loglik_grouped(weights, grouped, support):
     Empty cells contribute nothing regardless of their model probability;
     a populated cell with zero probability yields -inf.
     """
-    theta = cell_probabilities(weights, grouped.breakpoints, support)
-    counts = grouped.counts
-    pos = counts > 0
-    if np.any(theta[pos] <= 0.0):
-        return float("-inf")
-    return float(np.sum(counts[pos] * np.log(theta[pos])))
+    return _loglik(*_problem(grouped, support, weights.m), weights.p)
 
 
 def rounded_to_grouped(data, support):
@@ -121,9 +166,7 @@ def rounded_to_grouped(data, support):
     grid points without observations keep zero counts so the partition
     always spans the support.
     """
-    a, b = float(support[0]), float(support[1])
-    if not a < b:
-        raise ValueError(f"support must satisfy a < b, got [{a}, {b}]")
+    a, b = _checked_support(support)
     k = data.grid_density
     vals = data.values
     if vals.min() < a or vals.max() > b:

@@ -6,6 +6,7 @@ Everything is evaluated on the unit scale internally; density values pick
 up the 1/(b-a) Jacobian, CDF values do not.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +25,20 @@ __all__ = [
 SIMPLEX_SUM_TOL = 1e-9
 
 
+def _checked_support(support, name="support"):
+    """(a, b) as floats; ValueError unless both ends are finite and a < b."""
+    a, b = float(support[0]), float(support[1])
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"{name} needs finite ends a < b, got [{a}, {b}]")
+    return a, b
+
+
 def to_unit(x, support):
     """Map x in [a, b] linearly onto [0, 1].
 
     Raises ValueError when any point falls outside the support.
     """
-    a, b = float(support[0]), float(support[1])
-    if not a < b:
-        raise ValueError(f"support must satisfy a < b, got [{a}, {b}]")
+    a, b = _checked_support(support)
     x = np.asarray(x, dtype=float)
     if np.any(x < a) or np.any(x > b):
         raise ValueError(f"points outside the support [{a}, {b}]")
@@ -189,10 +196,7 @@ class BernsteinMixture:
     support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        a, b = float(self.support[0]), float(self.support[1])
-        if not a < b:
-            raise ValueError(f"support must satisfy a < b, got [{a}, {b}]")
-        object.__setattr__(self, "support", (a, b))
+        object.__setattr__(self, "support", _checked_support(self.support))
 
     @property
     def m(self):

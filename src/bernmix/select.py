@@ -191,10 +191,7 @@ def select_degree(data, support=None, degrees=None):
 
     fits = []
     for m in degrees:
-        if fits:
-            p0 = fits[-1].weights.elevate(1).p
-        else:
-            p0 = np.full(m + 1, 1.0 / (m + 1))
+        p0 = fits[-1].weights.elevate(1).p if fits else None
         fits.append(_fit(data, support, int(m), p0))
 
     logliks = np.asarray([f.loglik for f in fits])

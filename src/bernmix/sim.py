@@ -23,7 +23,7 @@ from .basis import basis_matrix
 from .em import _fit
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample
-from .model import GroupedSample
+from .model import GroupedSample, _checked_support
 from .select import select_degree
 
 __all__ = [
@@ -203,10 +203,7 @@ class ScenarioSpec:
 
     def resolved_truncation(self):
         if self.truncation is not None:
-            a, b = float(self.truncation[0]), float(self.truncation[1])
-            if not a < b:
-                raise ValueError(f"truncation must satisfy a < b, got [{a}, {b}]")
-            return (a, b)
+            return _checked_support(self.truncation, "truncation")
         return scenario_distribution(self.distribution).truncation
 
 
@@ -282,19 +279,14 @@ def integrated_squared_error(fhat_vals, f_vals, grid, weighted=False):
     return float(simpson(diff2, x=grid))
 
 
-_ESTIMATOR_ALIASES = {
-    "mble": "mble",
-    "mble_grouped": "mble",
-    "kernel": "kernel",
-    "kernel_raw": "kernel",
-    "parametric": "parametric",
-    "parametric_mle_grouped": "parametric",
-    "truth": "truth",
-}
+_ESTIMATORS = ("mble", "kernel", "parametric", "truth")
 
 
 def _fit_curve(kind, spec, data, grid):
-    """Fitted density values on the unit grid; returns (values, degree)."""
+    """Fitted density values on the unit grid; returns (values, degree).
+
+    kind is one of _ESTIMATORS, checked by mise before any replicate runs.
+    """
     a, b = spec.resolved_truncation()
     if kind == "mble":
         grouped = group(data, spec.n_cells)
@@ -311,9 +303,7 @@ def _fit_curve(kind, spec, data, grid):
             GroupedSample(bp_orig, grouped.counts),
         )
         return fit.pdf(a + grid * (b - a)) * (b - a), None
-    if kind == "truth":
-        return true_unit_pdf(spec)(grid), None
-    raise ValueError(f"unknown estimator {kind!r}")
+    return true_unit_pdf(spec)(grid), None
 
 
 def mise(spec, estimator, points=2001):
@@ -329,8 +319,7 @@ def mise(spec, estimator, points=2001):
     counted; more than 5% of them aborts the run.  Any other exception
     propagates.
     """
-    kind = _ESTIMATOR_ALIASES.get(estimator)
-    if kind is None:
+    if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     grid = np.linspace(0.0, 1.0, points)
     f_true = true_unit_pdf(spec)(grid)
@@ -339,7 +328,7 @@ def mise(spec, estimator, points=2001):
 
     def one(rep):
         data = generate(spec, rep)
-        fhat, degree = _fit_curve(kind, spec, data, grid)
+        fhat, degree = _fit_curve(estimator, spec, data, grid)
         return (
             integrated_squared_error(fhat, f_true, grid) / width,
             integrated_squared_error(fhat, f_true, grid, weighted=True),
@@ -410,7 +399,7 @@ def best_mixture_approximation(pdf, m, nodes=512):
     mass = half * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    fit = _fit((t, mass), None, m, np.full(m + 1, 1.0 / (m + 1)))
+    fit = _fit((t, mass), None, m)
     if not fit.converged:
         raise ValueError(
             f"population fit at degree {m} stopped after {fit.iterations} steps "
@@ -431,15 +420,13 @@ def _inverse_cdf_sampler(pdf, grid_points=4001):
     return draw
 
 
-def acceptance_rejection_diag(true_pdf, weights, n, seed, sampler=None):
+def acceptance_rejection_diag(true_pdf, weights, n, seed):
     """Envelope constant and acceptance fraction of a mixture against the truth.
 
     c_m = sup_t f_m(t)/f(t) is located on a 4001-point grid and refined
     by golden section; a draw x from f is accepted as an f_m draw when
-    u <= f_m(x)/(c_m f(x)).  Returns (c_m, accepted fraction).
-
-    sampler(rng, size) should draw from the true density; without one the
-    truth is sampled through a gridded inverse CDF.
+    u <= f_m(x)/(c_m f(x)), the draws coming from a gridded inverse CDF
+    of the truth.  Returns (c_m, accepted fraction).
     """
     m = weights.m
     p = weights.p
@@ -460,8 +447,7 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed, sampler=None):
     c_m = max(float(ratios[i]), -neg)
 
     rng = np.random.default_rng(seed)
-    draw = sampler if sampler is not None else _inverse_cdf_sampler(true_pdf)
-    x = draw(rng, n)
+    x = _inverse_cdf_sampler(true_pdf)(rng, n)
     u = rng.uniform(size=n)
     fx = np.asarray(true_pdf(x), dtype=float)
     fmx = basis_matrix(m, x) @ p

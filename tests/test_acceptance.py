@@ -7,7 +7,6 @@ seeds so the whole suite is reproducible run to run.
 
 import math
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,10 @@ from bernmix.em import em_step
 from bernmix.model import cell_basis_matrix
 from bernmix.sim import best_mixture_approximation, true_unit_pdf
 
-warnings.filterwarnings("ignore", message=".*lower bound.*")
-warnings.filterwarnings("ignore", message=".*nested degree scan.*")
+pytestmark = [
+    pytest.mark.filterwarnings("ignore:.*lower bound.*"),
+    pytest.mark.filterwarnings("ignore:.*nested degree scan.*"),
+]
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 CHICKEN_CSV = DATA_DIR / "chicken_embryo.csv"

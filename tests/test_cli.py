@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernmix import BernsteinMixture, SimplexWeights
 from bernmix.cli import main, read_model_json
@@ -154,6 +159,16 @@ class TestFit:
 
     def test_exactly_one_input_mode(self, grouped_csv):
         assert main(["fit", "--grouped", str(grouped_csv), "--raw", "x", "--degree", "1", "--out", "m.json"]) == 2
+
+    @pytest.mark.parametrize("degree", ["-1", "-2"])
+    def test_negative_degree_is_input_error(self, grouped_csv, tmp_path, capsys, degree):
+        raw = tmp_path / "raw.txt"
+        write(raw, "0.2\n0.5\n0.7\n")
+        out = tmp_path / "m.json"
+        for data in (["--grouped", str(grouped_csv)], ["--raw", str(raw), "--support", "0,1"]):
+            assert main(["fit", *data, "--degree", degree, "--out", str(out)]) == 2
+            assert "degree must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -338,3 +353,110 @@ class TestModelJsonRoundTrip:
         np.testing.assert_array_equal(model.weights.p, p)
         text = path.read_text()
         assert "\r" not in text
+
+
+# every file is well formed, or carries exactly one of these faults
+BAD_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e400", "x", "", "2.5"])
+CSV_FAULTS = ["header", "token", "extra field", "gap", "unsorted", "negative count", "no rows"]
+RAW_FAULTS = ["token", "outside", "no values"]
+
+
+@st.composite
+def grouped_csvs(draw):
+    # cells tile [0, 1], or [0, 3] (a support other than the flag's)
+    edges = sorted({0, 8} | set(draw(st.lists(st.integers(1, 7), max_size=6))))
+    scale = draw(st.sampled_from([1.0] * 4 + [3.0])) / 8
+    rows = [
+        [repr(lo * scale), repr(hi * scale), str(draw(st.integers(0, 9)))]
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    header = "lower,upper,count"
+    fault = draw(st.sampled_from([None] * 7 + CSV_FAULTS))
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault == "header":
+        header = draw(st.sampled_from(["lower,upper", "count,lower,upper", ""]))
+    elif fault == "token":
+        rows[i][draw(st.integers(0, 2))] = draw(BAD_TOKENS)
+    elif fault == "extra field":
+        rows[i].append("1")
+    elif fault == "gap" and len(rows) > 2:
+        del rows[draw(st.integers(1, len(rows) - 2))]
+    elif fault == "unsorted":
+        rows.reverse()
+    elif fault == "negative count":
+        rows[i][2] = "-1"
+    elif fault == "no rows":
+        rows = []
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+@st.composite
+def raw_files(draw):
+    values = draw(
+        st.lists(st.one_of(st.integers(0, 8).map(lambda i: i / 8), st.floats(0.0, 1.0)), min_size=1, max_size=25)
+    )
+    lines = [repr(v) for v in values]
+    fault = draw(st.sampled_from([None] * 5 + RAW_FAULTS))
+    i = draw(st.integers(0, len(lines) - 1))
+    if fault == "token":
+        lines[i] = draw(BAD_TOKENS)
+    elif fault == "outside":
+        lines[i] = draw(st.sampled_from(["-0.5", "1.5", "2.5"]))
+    elif fault == "no values":
+        lines = []
+    return "\n".join(lines) + "\n"
+
+
+SUPPORTS = st.sampled_from(
+    ["0,1"] * 10 + [None, "0,2", "-1,1", "0,0", "1,0", "0,inf", "nan,1", "0", "a,b", "0,1,2"]
+)
+DEGREE_FLAGS = st.one_of(
+    st.tuples(st.just("--degree"), st.sampled_from(["2", "-1", "0", "1", "3", "5", "8", "-2", "-3"])),
+    st.tuples(
+        st.just("--select"),
+        st.just("--degrees"),
+        st.one_of(
+            st.builds("{}..{}".format, st.integers(-3, 6), st.integers(-3, 12)),
+            st.sampled_from(["2-5", "a..b", "..", "3..", "1..x"]),
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    command=st.sampled_from(["fit-grouped", "fit-raw", "lower-bound"]),
+    csv_text=grouped_csvs(),
+    raw_text=raw_files(),
+    support=SUPPORTS,
+    degree=DEGREE_FLAGS,
+    max_iter=st.sampled_from([200, 200, 30, 1, 0]),
+    rounded=st.one_of(st.none(), st.integers(-1, 4)),
+)
+def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, support, degree, max_iter, rounded):
+    # README: 0 ok, 2 input error, 3 fit did not converge; never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        grouped, raw, out = (os.path.join(tmp, name) for name in ("g.csv", "raw.txt", "m.json"))
+        write(Path(grouped), csv_text)
+        write(Path(raw), raw_text)
+        support_flag = [] if support is None else ["--support", support]
+        if command == "lower-bound":
+            argv = ["lower-bound", "--grouped", grouped, *support_flag]
+        else:
+            data = ["--grouped", grouped] if command == "fit-grouped" else ["--raw", raw]
+            if rounded is not None and command == "fit-raw":
+                data += ["--rounded", str(rounded)]
+            argv = ["fit", *data, *support_flag, *degree, "--max-iter", str(max_iter), "--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flags
+                code = exc.code
+        allowed = {0, 2} if command == "lower-bound" else {0, 2, 3}
+        assert code in allowed, (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            assert stderr.getvalue(), argv
+        if command != "lower-bound":
+            assert os.path.exists(out) == (code in (0, 3)), argv

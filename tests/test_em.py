@@ -24,13 +24,12 @@ from bernmix.em import (
     QP_TOL,
     SQP_RIDGE,
     _fit,
-    _loglik,
     _nonnegative_qp,
-    _problem,
     em_step,
 )
+from bernmix.likelihood import _loglik, _problem
 from bernmix.model import cell_basis_matrix
-from bernmix.sim import true_unit_pdf
+from bernmix.sim import best_mixture_approximation, true_unit_pdf
 
 
 def simplex_grid_best(loglik_fn, step=0.01, refine=0.001):
@@ -282,6 +281,20 @@ class TestCertifiedSolver:
         rep = _fit((t, mass), None, m, np.full(m + 1, 1.0 / (m + 1)))
         assert rep.converged
         assert rep.gap <= GAP_TOL
+
+
+def test_negative_degree_is_rejected():
+    # the uniform start 1/(m+1) of degree -1 divides by zero
+    raw = RawSample(np.array([0.2, 0.5, 0.7]))
+    fits = (
+        lambda m: em_raw(raw, m),
+        lambda m: em_grouped(group(raw, 3), (0.0, 1.0), m),
+        lambda m: best_mixture_approximation(lambda t: np.ones_like(t), m),
+    )
+    for fit in fits:
+        for m in (-1, -2):
+            with pytest.raises(ValueError, match="degree must be nonnegative"):
+                fit(m)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

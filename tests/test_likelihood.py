@@ -81,6 +81,12 @@ class TestGroupedLoglik:
         g = GroupedSample([0.0, 1.0 - 1e-16, 1.0], [1, 1])
         assert loglik_grouped(w, g, (0, 1)) == -np.inf
 
+    def test_all_empty_sample_raises(self):
+        # no observation at all: the error of an empty raw sample and of a fit
+        g = GroupedSample([0.0, 0.5, 1.0], [0, 0])
+        with pytest.raises(ValueError, match="positive total count"):
+            loglik_grouped(SimplexWeights(np.array([0.5, 0.5])), g, (0, 1))
+
 
 class TestRoundedLoglik:
     def test_half_grid_cell(self):

@@ -5,12 +5,18 @@ from numpy.polynomial.legendre import leggauss
 from bernmix import (
     BernsteinMixture,
     GroupedSample,
+    RawSample,
+    RoundedSample,
+    ScenarioSpec,
     SimplexWeights,
     basis_matrix,
     beta_cdf,
     beta_density,
     cdf_matrix,
     cell_probabilities,
+    lower_bound_degree,
+    rounded_to_grouped,
+    select_degree,
     to_unit,
 )
 from bernmix.model import EVAL_BLOCK
@@ -33,6 +39,26 @@ class TestToUnit:
             to_unit(-0.1, (0.0, 1.0))
         with pytest.raises(ValueError):
             to_unit(4.5, (0.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (1.0, 0.0)],
+)
+def test_every_support_needs_finite_ordered_ends(support):
+    w = SimplexWeights(np.array([0.5, 0.5]))
+    g = GroupedSample([0.0, 0.5, 1.0], [3, 4])
+    uses = (
+        lambda: to_unit(0.5, support),
+        lambda: BernsteinMixture(w, support).pdf(1.0),
+        lambda: select_degree(RawSample([0.2, 0.5, 0.7], support)),
+        lambda: rounded_to_grouped(RoundedSample([0.5, 1.0], 2), support),
+        lambda: ScenarioSpec("exp1", 10, 2, truncation=support).resolved_truncation(),
+        lambda: lower_bound_degree(g, support),
+    )
+    for use in uses:
+        with pytest.raises(ValueError, match="finite ends a < b"):
+            use()
 
 
 class TestSimplexWeights:

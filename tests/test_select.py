@@ -21,8 +21,8 @@ from bernmix import (
     select_degree,
 )
 from bernmix.cli import read_grouped_csv
-from bernmix.em import GAP_TOL, _loglik, _problem
-from bernmix.likelihood import loglik_grouped, loglik_raw
+from bernmix.em import GAP_TOL
+from bernmix.likelihood import _loglik, _problem, loglik_grouped, loglik_raw
 from bernmix.sim import ScenarioSpec, scenario_distribution
 
 CHICKEN_CSV = Path(__file__).resolve().parent.parent / "data" / "chicken_embryo.csv"
