@@ -254,7 +254,7 @@ def cmd_fit(args):
         if args.support is None:
             raise CliInputError("--raw needs an explicit --support")
         support = _parse_support(args.support)
-        if args.rounded:
+        if args.rounded is not None:
             data = rounded_to_grouped(
                 RoundedSample(values, args.rounded), support
             )
@@ -424,9 +424,35 @@ def build_parser():
     return parser
 
 
+# options whose value may start with "-" (a negative support end, or a
+# degree range that the degree check then rejects)
+SIGNED_VALUE_OPTIONS = ("--support", "--degrees")
+
+
+def _attach_signed_values(argv):
+    """Rewrite "--support -1,1" as "--support=-1,1".
+
+    argparse reads a separate token that starts with "-" as an option and
+    stops with "expected one argument"; the attached form is read as the
+    value.  A following token that starts with "--" is left alone, so a
+    missing value still reads as one.
+    """
+    out, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if token in SIGNED_VALUE_OPTIONS and value.startswith("-") and not value.startswith("--"):
+            out.append(f"{token}={value}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CliInputError, DegenerateDataError, SelectionError, ValueError) as exc:

@@ -4,9 +4,8 @@ Every fit is one weighted-row problem: maximise sum_i w_i log (A p)_i
 over the m-simplex, where row i of the mass matrix A holds the m+1 basis
 densities or masses of one row of data and w_i > 0 is its weight.  The
 likelihood module builds that problem from raw, grouped or population
-data (likelihood._problem, populated rows only) and evaluates its loglik
-(likelihood._loglik); this module only solves it and certifies the
-result.
+data (likelihood._problems, populated rows only) and evaluates its loglik;
+this module only solves it and certifies the result.
 
 The loglik is concave in p, so the gradient g = A^T (w / A p) / n
 (n = sum w) gives a free certificate: the loglik of p is at most
@@ -34,13 +33,14 @@ Two solvers share this form:
   full support.
 """
 
+import math
 import time
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import _loglik, _problem
+from .likelihood import _problems, _row_loglik
 from .model import SimplexWeights
 
 __all__ = [
@@ -184,25 +184,27 @@ def _nonnegative_qp(h, c, y):
     """
     k = c.size
     free = y > 0.0
+    neg_c = -c
     # each pass frees or fixes one entry; the cap guards against cycling
     # on rounding when a released entry comes straight back
     for _ in range(4 * k + 10):
         z = np.zeros(k)
         idx = free.nonzero()[0]
         if idx.size:
-            z[idx] = np.linalg.solve(h[idx[:, None], idx], -c[idx])
-        blocked = (free & (z < 0.0)).nonzero()[0]
+            z[idx] = np.linalg.solve(h[idx[:, None], idx], neg_c[idx])
+        # z is 0 off the free set, so only free entries can be blocked
+        blocked = (z < 0.0).nonzero()[0]
         if blocked.size == 0:
             y = z
             grad = h @ y + c
             grad[free] = np.inf
-            j = int(np.argmin(grad))
+            j = int(grad.argmin())
             if grad[j] >= -QP_TOL:
                 break
             free[j] = True
         else:
             t = y[blocked] / (y[blocked] - z[blocked])
-            i = int(np.argmin(t))
+            i = int(t.argmin())
             y = y + t[i] * (z - y)
             y[blocked[i]] = 0.0
             free &= y > 0.0
@@ -227,17 +229,19 @@ def _sqp_weighted(a, w, p0):
     """
     n = w.sum()
     v = w / n
+    root_v = np.sqrt(v)
     x = np.array(p0, dtype=float)
     k = x.size
     theta = a @ x
-    f = x.sum() - v @ np.log(theta)
+    total = x.sum()
+    v_log = v @ np.log(theta)
+    f = total - v_log
     y = x
     trace = array("d")
     converged, step_norm, steps = False, 0.0, 0
     while True:
         u = a.T @ (v / theta)
-        total = x.sum()
-        trace.append(n * (v @ np.log(theta) - np.log(total)))
+        trace.append(n * (v_log - math.log(total)))
         if n * (total * u.max() - 1.0) <= GAP_TOL:
             converged = True
             break
@@ -245,62 +249,73 @@ def _sqp_weighted(a, w, p0):
             break
         steps += 1
         grad = 1.0 - u
-        scaled = a * (np.sqrt(v) / theta)[:, None]
+        scaled = a * (root_v / theta)[:, None]
         h = scaled.T @ scaled
-        h.flat[:: k + 1] += SQP_RIDGE * np.trace(h) / k
+        diagonal = h.ravel()[:: k + 1]  # a view: h is a fresh C-ordered product
+        diagonal += SQP_RIDGE * diagonal.sum() / k
         y = _nonnegative_qp(h, grad - h @ x, y)
         d = y - x
         slope = grad @ d
+        floor = ROW_MASS_SHARE * theta
+        rounding = OBJECTIVE_ROUNDING * (1.0 + abs(f))
         alpha = 1.0
         # ends: as alpha -> 0 the trial point tends to x, which the
         # rounding allowance accepts
         while True:
             x_new = x + alpha * d
             theta_new = a @ x_new
-            if np.all(theta_new > ROW_MASS_SHARE * theta):
-                f_new = x_new.sum() - v @ np.log(theta_new)
-                if f_new <= f + ARMIJO * alpha * slope + OBJECTIVE_ROUNDING * (1.0 + abs(f)):
+            if (theta_new > floor).all():
+                total_new = x_new.sum()
+                v_log_new = v @ np.log(theta_new)
+                f_new = total_new - v_log_new
+                if f_new <= f + ARMIJO * alpha * slope + rounding:
                     break
             alpha *= 0.5
-        step_norm = alpha * float(np.max(np.abs(d)))
-        x, theta, f = x_new, theta_new, f_new
+        step_norm = alpha * float(abs(d).max())
+        x, theta, total, v_log, f = x_new, theta_new, total_new, v_log_new, f_new
     return _output_weights(x / total), steps, np.array(trace), converged, step_norm
 
 
-def _gap(mass_mat, row_weights, p):
-    """n (max_j g_j - 1) at p, g = A^T (w / A p) / n; inf if a row has mass 0."""
-    theta = mass_mat @ p
-    if not np.all(theta > 0.0):
-        return float("inf")
-    return float(np.max(mass_mat.T @ (row_weights / theta)) - row_weights.sum())
+def _gap(mass_mat, row_weights, theta):
+    """n (max_j g_j - 1) at row masses theta = A p, g = A^T (w / theta) / n.
 
-
-def _fit(data, support, m, p0=None, config=None):
-    """FitReport of the degree-m fit of data (see likelihood._problem).
-
-    Starts from p0, or from the uniform weights when p0 is None; runs EM
-    under config when one is given, else the certified solver.  A
-    negative degree raises ValueError.
+    inf if a row has mass 0.
     """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
+    if not (theta > 0.0).all():
+        return float("inf")
+    return float((mass_mat.T @ (row_weights / theta)).max() - row_weights.sum())
+
+
+def _fit(problems, p0=None, config=None):
+    """FitReport of the next problem drawn from problems.
+
+    problems is an iterator of likelihood._problems, so a degree scan
+    draws its consecutive degrees from one iterator and a single fit
+    draws one; building a problem of negative degree raises ValueError.
+    Starts from p0, or from the uniform weights when p0 is None; runs EM
+    under config when one is given, else the certified solver.  The
+    reported loglik and gap share one product A p at the returned
+    weights.
+    """
     start = time.perf_counter()
+    a, w = next(problems)
     if p0 is None:
-        p0 = np.full(m + 1, 1.0 / (m + 1))
-    a, w = _problem(data, support, m)
+        k = a.shape[1]
+        p0 = np.full(k, 1.0 / k)
     if config is None:
         solved = _sqp_weighted(a, w, p0)
     else:
         solved = _iterate(p0, a, w, config)
     weights, iterations, trace, converged, residual = solved
+    theta = a @ weights.p
     return FitReport(
         weights,
-        _loglik(a, w, weights.p),
+        _row_loglik(theta, w),
         iterations,
         trace,
         converged,
         residual,
-        _gap(a, w, weights.p),
+        _gap(a, w, theta),
         "converged" if converged else "max_iter",
         time.perf_counter() - start,
     )
@@ -314,7 +329,7 @@ def em_raw(data, m, config=None):
     converged=False, not an error.
     """
     config = config or EmConfig()
-    return _fit(data, None, m, _resolve_init(config, m), config)
+    return _fit(_problems(data, None, m), _resolve_init(config, m), config)
 
 
 def em_grouped(grouped, support, m, config=None):
@@ -324,4 +339,4 @@ def em_grouped(grouped, support, m, config=None):
     weight in the update and are dropped up front.
     """
     config = config or EmConfig()
-    return _fit(grouped, support, m, _resolve_init(config, m), config)
+    return _fit(_problems(grouped, support, m), _resolve_init(config, m), config)

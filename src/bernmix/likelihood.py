@@ -3,8 +3,13 @@
 This module owns the weighted-row problem that every fit and every loglik
 reads: the loglik of mixture weights p is sum_i w_i log (A p)_i, where
 row i of the mass matrix A holds the m+1 basis densities or masses of one
-row of data and w_i > 0 is its weight (_problem builds the pair, _loglik
-evaluates it).
+row of data and w_i > 0 is its weight (_problems builds the pairs of
+consecutive degrees, _problem the pair of one degree, and _loglik
+evaluates a pair at given weights).  A degree scan draws its degrees from
+one _problems iterator: the first degree from the closed forms of basis,
+every later one from the one before by the binomial recurrence of the
+Bernstein basis, so no exp or log is taken after the first degree and
+only the previous matrix is held.
 
 - Raw data: one row per observation, its basis densities, weight 1.
 - Grouped data: one row per populated cell, its basis masses, weighted
@@ -27,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix
+from .basis import basis_matrix, cdf_matrix
 from .model import (
     GroupedSample,
     _checked_support,
     _covering_unit_breakpoints,
-    cell_basis_matrix,
     to_unit,
 )
 
@@ -104,40 +108,84 @@ class RoundedSample:
         return self.values.size
 
 
-def _problem(data, support, m):
-    """(mass matrix, row weights) of the degree-m problem, populated rows only.
+def _problems(data, support, m):
+    """(mass matrix, row weights) of degrees m, m+1, m+2, ..., populated rows only.
 
     data is a RawSample (rows: basis densities at the observations,
     weight 1), a GroupedSample on support (rows: basis masses of the
     cells, weighted by their counts) or a pair (unit-scale quadrature
     atoms, their masses) of a known density (rows: basis densities at the
     atoms).  Rows of weight 0 carry nothing and are dropped here, once.
+
+    Degree m is built from the closed forms of basis; every later degree
+    comes from the one before by the binomial recurrence
+    b_{m+1,j}(t) = t b_{m,j-1}(t) + (1-t) b_{m,j}(t), with b_{m,-1} = 0 and
+    b_{m,m+1} = 0 for the Bernstein pmfs b_{m,j} (densities are (m+1) b_{m,j})
+    and, for the basis CDFs of grouped data, with B_{m,-1} = 1 and
+    B_{m,m+1} = 0 (the CDFs at the breakpoints, differenced into cell
+    masses).  Each new degree is a convex combination of the last, so
+    only that one is kept and no exp or log is taken after degree m.
     """
-    if isinstance(data, RawSample):
-        if data.n == 0:
-            raise ValueError("need at least one observation")
-        return basis_matrix(m, data.unit_values()), np.ones(data.n)
     if isinstance(data, GroupedSample):
         if data.n < 1:
             raise ValueError("need a positive total count")
         pos = data.counts > 0
-        u = _covering_unit_breakpoints(data.breakpoints, support)
-        return cell_basis_matrix(m, u)[pos], data.counts[pos].astype(float)
-    atoms, masses = data
-    pos = masses > 0
-    return basis_matrix(m, atoms[pos]), masses[pos]
+        w = data.counts[pos].astype(float)
+        t = _covering_unit_breakpoints(data.breakpoints, support)
+        table, below = cdf_matrix(m, t), 1.0
+
+        def rows(table, m):
+            return (table[1:] - table[:-1])[pos]
+
+        yield rows(table, m), w
+    else:
+        if isinstance(data, RawSample):
+            if data.n == 0:
+                raise ValueError("need at least one observation")
+            t, w = data.unit_values(), np.ones(data.n)
+        else:
+            atoms, masses = data
+            pos = masses > 0
+            t, w = atoms[pos], masses[pos]
+        dens, below = basis_matrix(m, t), 0.0
+
+        def rows(table, m):
+            return table * (m + 1)
+
+        yield dens, w
+        table = dens / (m + 1)
+    t, s = t[:, None], 1.0 - t[:, None]
+    first = below * t  # t b_{m,-1}(t), the same at every degree
+    while True:
+        m += 1
+        nxt = np.empty((t.size, m + 1))
+        np.multiply(table, t, out=nxt[:, 1:])
+        nxt[:, :1] = first
+        nxt[:, :-1] += table * s
+        table = nxt
+        yield rows(table, m), w
+
+
+def _problem(data, support, m):
+    """(mass matrix, row weights) of the degree-m problem: see _problems."""
+    return next(_problems(data, support, m))
 
 
 def _loglik(mass_mat, row_weights, p):
-    """sum_i w_i log (A p)_i, -inf if a row has mass 0.
+    """sum_i w_i log (A p)_i, -inf if a row has mass 0 (see _row_loglik)."""
+    return _row_loglik(mass_mat @ p, row_weights)
 
-    (A p) is clipped at 0 as in cell_probabilities, so rounding below 0
+
+def _row_loglik(theta, row_weights):
+    """sum_i w_i log theta_i at row masses theta = A p, -inf if one is 0.
+
+    theta is clipped at 0 as in cell_probabilities, so rounding below 0
     reads as a massless row.
     """
-    theta = np.clip(mass_mat @ p, 0.0, None)
-    if np.any(theta <= 0.0):
+    theta = theta.clip(0.0, None)
+    if (theta <= 0.0).any():
         return float("-inf")
-    return float(np.sum(row_weights * np.log(theta)))
+    return float((row_weights * np.log(theta)).sum())
 
 
 def loglik_raw(weights, data):

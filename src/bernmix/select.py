@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import degree_elevate
 from .em import _fit
 from .errors import DegenerateDataError, SelectionError
-from .likelihood import RawSample
+from .likelihood import RawSample, _problems
 from .model import GroupedSample, to_unit
 
 __all__ = [
@@ -68,32 +69,32 @@ def lower_bound_degree(grouped, support):
 
     Uses the cell-midpoint mean and variance on the unit scale:
     max{1, ceil(mu(1-mu)/sigma^2 - 3)}.  All mass in a single cell gives
-    zero variance and is rejected as degenerate.
+    zero variance and is rejected as degenerate; it is recognised by its
+    count of populated cells, since the computed mean of equal midpoints
+    can sit an ulp off them and leave a variance of ~1e-32 instead of 0.
     """
     n = grouped.n
     if n < 2:
         raise ValueError("need a total count of at least 2")
+    counts = grouped.counts.astype(float)
+    if np.count_nonzero(counts) < 2:
+        raise DegenerateDataError("all mass in one cell: zero midpoint variance")
     u = to_unit(grouped.breakpoints, support)
     mid = 0.5 * (u[:-1] + u[1:])
-    counts = grouped.counts.astype(float)
     mu = float(counts @ mid) / n
-    ss = float(counts @ (mid * mid)) - n * mu * mu
-    var = ss / (n - 1)
-    if var <= 0.0:
-        raise DegenerateDataError("all mass in one cell: zero midpoint variance")
+    var = float(counts @ (mid - mu) ** 2) / (n - 1)
     return _moment_bound(mu, var)
 
 
 def _raw_lower_bound(data):
-    # raw-data analogue of lower_bound_degree, used only for default degrees
+    # raw-data analogue of lower_bound_degree, used only for default degrees;
+    # a constant sample is caught by its range, for the reason given there
     u = data.unit_values()
     if u.size < 2:
         raise ValueError("need at least 2 observations")
-    mu = float(u.mean())
-    var = float(u.var(ddof=1))
-    if var <= 0.0:
+    if u.min() == u.max():
         raise DegenerateDataError("constant sample: zero variance")
-    return _moment_bound(mu, var)
+    return _moment_bound(float(u.mean()), float(u.var(ddof=1)))
 
 
 def change_point(logliks):
@@ -146,6 +147,15 @@ def select_degree(data, support=None, degrees=None):
     that start has a finite loglik, and its zero entries are the previous
     support mapped to the new degree, where the solver's active set starts.
 
+    The rows of the scan come from one likelihood._problems iterator: the
+    first degree's basis densities (raw data) or cell masses (grouped
+    data) from the closed forms of basis, every later degree's from the
+    previous degree's by the binomial recurrence
+    b_{m+1,j}(t) = t b_{m,j-1}(t) + (1-t) b_{m,j}(t), applied to the basis
+    pmfs at the observations or to the basis CDFs at the breakpoints.
+    Only the previous degree's matrix is held, so memory stays flat in
+    the number of degrees.
+
     Parameters
     ----------
     data : GroupedSample or RawSample
@@ -189,10 +199,11 @@ def select_degree(data, support=None, degrees=None):
             stacklevel=2,
         )
 
+    problems = _problems(data, support, int(degrees[0]))
     fits = []
-    for m in degrees:
-        p0 = fits[-1].weights.elevate(1).p if fits else None
-        fits.append(_fit(data, support, int(m), p0))
+    for _ in degrees:
+        p0 = degree_elevate(fits[-1].weights.p, 1) if fits else None
+        fits.append(_fit(problems, p0))
 
     logliks = np.asarray([f.loglik for f in fits])
     increments = np.diff(logliks)

@@ -22,7 +22,7 @@ from . import baselines
 from .basis import basis_matrix
 from .em import _fit
 from .errors import HarnessError, SelectionError
-from .likelihood import RawSample
+from .likelihood import RawSample, _problems
 from .model import GroupedSample, _checked_support
 from .select import select_degree
 
@@ -399,7 +399,7 @@ def best_mixture_approximation(pdf, m, nodes=512):
     mass = half * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    fit = _fit((t, mass), None, m)
+    fit = _fit(_problems((t, mass), None, m))
     if not fit.converged:
         raise ValueError(
             f"population fit at degree {m} stopped after {fit.iterations} steps "

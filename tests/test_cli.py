@@ -160,6 +160,30 @@ class TestFit:
     def test_exactly_one_input_mode(self, grouped_csv):
         assert main(["fit", "--grouped", str(grouped_csv), "--raw", "x", "--degree", "1", "--out", "m.json"]) == 2
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_rounded_grid_density_below_one_is_input_error(self, tmp_path, capsys, k):
+        raw = tmp_path / "raw.txt"
+        write(raw, "0.2\n0.5\n0.7\n")
+        out = tmp_path / "m.json"
+        argv = ["fit", "--raw", str(raw), "--support", "0,1", "--rounded", k, "--degree", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "grid density" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_support_and_degrees_accept_a_leading_minus(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        write(raw, "-0.6\n-0.2\n0.1\n0.5\n0.8\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--raw", str(raw), "--support", "-1,1", "--degree", "2", "--out", str(out)]) == 0
+        assert read_model_json(out).support == (-1.0, 1.0)
+        # the attached form keeps working
+        assert main(["fit", "--raw", str(raw), "--support=-1,1", "--degree", "2", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["fit", "--raw", str(raw), "--support", "-1,1", "--select", "--degrees", "-1..3", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "nonnegative degrees" in err and "expected one argument" not in err
+
     @pytest.mark.parametrize("degree", ["-1", "-2"])
     def test_negative_degree_is_input_error(self, grouped_csv, tmp_path, capsys, degree):
         raw = tmp_path / "raw.txt"
@@ -340,6 +364,23 @@ class TestLowerBound:
         write(path, "lower,upper,count\n0,0.5,9\n0.5,1,0\n")
         assert main(["lower-bound", "--grouped", str(path)]) == 2
 
+    def test_one_populated_cell_of_seven_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        edges = np.linspace(0.0, 1.0, 8)
+        counts = [3, 0, 0, 0, 0, 0, 0]
+        rows = [f"{lo!r},{up!r},{c}" for lo, up, c in zip(edges[:-1].tolist(), edges[1:].tolist(), counts)]
+        write(path, "\n".join(["lower,upper,count", *rows]) + "\n")
+        assert main(["lower-bound", "--grouped", str(path), "--support", "0,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "one cell" in captured.err
+
+    def test_negative_support_end_as_separate_token(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        write(path, "lower,upper,count\n-1,0,4\n0,1,6\n")
+        assert main(["lower-bound", "--grouped", str(path), "--support", "-1,1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
 
 class TestModelJsonRoundTrip:
     def test_weights_roundtrip_identity(self, tmp_path):
@@ -456,6 +497,10 @@ def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, suppo
         allowed = {0, 2} if command == "lower-bound" else {0, 2, 3}
         assert code in allowed, (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        # "--support -1,1" and "--degrees -1..3" reach the program's own checks
+        assert "expected one argument" not in stderr.getvalue(), argv
+        if command == "fit-raw" and rounded is not None and rounded < 1:
+            assert code == 2, argv  # a grid density K must be positive
         if code == 2:
             assert stderr.getvalue(), argv
         if command != "lower-bound":

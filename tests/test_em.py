@@ -13,6 +13,7 @@ from bernmix import (
     ScenarioSpec,
     SimplexWeights,
     basis_matrix,
+    degree_elevate,
     em_grouped,
     em_raw,
     group,
@@ -27,7 +28,7 @@ from bernmix.em import (
     _nonnegative_qp,
     em_step,
 )
-from bernmix.likelihood import _loglik, _problem
+from bernmix.likelihood import _loglik, _problem, _problems
 from bernmix.model import cell_basis_matrix
 from bernmix.sim import best_mixture_approximation, true_unit_pdf
 
@@ -212,8 +213,8 @@ class TestEmProperties:
         for fit in (
             lambda: em_raw(data, 4),
             lambda: em_grouped(g_data, (0, 1), 4),
-            lambda: _fit(data, (0, 1), 4, p0),
-            lambda: _fit(g_data, (0, 1), 4, p0),
+            lambda: _fit(_problems(data, (0, 1), 4), p0),
+            lambda: _fit(_problems(g_data, (0, 1), 4), p0),
         ):
             start = time.perf_counter()
             rep = fit()
@@ -241,11 +242,11 @@ class TestCertifiedSolver:
             uniform = np.full(m + 1, 1.0 / (m + 1))
             if i % 2:
                 ref = em_raw(data, m, tight)
-                rep = _fit(data, data.support, m, uniform)
+                rep = _fit(_problems(data, data.support, m), uniform)
             else:
                 g = group(data, int(rng.integers(5, 31)))
                 ref = em_grouped(g, (0, 1), m, tight)
-                rep = _fit(g, (0.0, 1.0), m, uniform)
+                rep = _fit(_problems(g, (0.0, 1.0), m), uniform)
             assert rep.stop_reason == "converged"
             assert rep.loglik >= ref.loglik - 1e-9
             assert rep.gap <= 1e-8
@@ -261,8 +262,8 @@ class TestCertifiedSolver:
         counts[10:22] = rng.integers(0, 9, size=12)
         g = GroupedSample(np.linspace(0.0, 1.0, 41), counts)
         for rep, ref in (
-            (_fit(data, data.support, 8, np.full(9, 1.0 / 9)), em_raw(data, 8, tight)),
-            (_fit(g, (0.0, 1.0), 30, np.full(31, 1.0 / 31)), em_grouped(g, (0, 1), 30, tight)),
+            (_fit(_problems(data, data.support, 8), np.full(9, 1.0 / 9)), em_raw(data, 8, tight)),
+            (_fit(_problems(g, (0.0, 1.0), 30), np.full(31, 1.0 / 31)), em_grouped(g, (0, 1), 30, tight)),
         ):
             assert rep.stop_reason == "converged"
             assert rep.gap <= 1e-8
@@ -278,7 +279,7 @@ class TestCertifiedSolver:
         x, w = np.polynomial.legendre.leggauss(nodes)
         t = 0.5 * (x + 1.0)
         mass = 0.5 * w * true_unit_pdf(ScenarioSpec(tag, n=1, n_cells=1))(t)
-        rep = _fit((t, mass), None, m, np.full(m + 1, 1.0 / (m + 1)))
+        rep = _fit(_problems((t, mass), None, m), np.full(m + 1, 1.0 / (m + 1)))
         assert rep.converged
         assert rep.gap <= GAP_TOL
 
@@ -367,3 +368,33 @@ def test_weighted_row_problem_matches_the_likelihoods(n, cells, m, ends, seed):
             assert abs(p_next.sum() - 1.0) <= 1e-12
         else:
             assert ll == elevated == -np.inf
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(2, 80),
+    cells=st.integers(2, 20),
+    m0=st.integers(0, 24),
+    k=st.integers(2, 6),
+    ends=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_fits_bound_their_gap(n, cells, m0, k, ends, seed):
+    # the fits of a degree scan on a raw sample (points at the support
+    # ends included) and on its grouping: the problems come from one
+    # iterator and every later fit starts from the elevated previous one.
+    # The returned gap is a gradient bound at simplex weights, so it is
+    # >= 0 up to rounding, and a converged fit certifies it at GAP_TOL
+    rng = np.random.default_rng(seed)
+    x = rng.beta(rng.uniform(0.3, 4.0), rng.uniform(0.3, 4.0), size=n)
+    x[: min(ends, n)] = rng.integers(0, 2, size=min(ends, n))
+    raw = RawSample(x)
+    for data, support in ((raw, None), (group(raw, cells), (0.0, 1.0))):
+        problems, p0 = _problems(data, support, m0), None
+        for m in range(m0, m0 + k + 1):
+            rep = _fit(problems, p0)
+            assert rep.weights.m == m
+            assert rep.gap >= -1e-9, (m, rep.gap)
+            if rep.stop_reason == "converged":
+                assert rep.gap <= GAP_TOL, (m, rep.gap)
+            p0 = degree_elevate(rep.weights.p, 1)

@@ -1,13 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bernmix import (
     GroupedSample,
     RawSample,
     RoundedSample,
     SimplexWeights,
+    basis_matrix,
+    beta_cdf,
     beta_density,
     cell_probabilities,
     degree_elevate,
@@ -16,6 +21,8 @@ from bernmix import (
     loglik_rounded,
     rounded_to_grouped,
 )
+from bernmix.likelihood import _problems
+from bernmix.model import cell_basis_matrix
 
 
 class TestRawLoglik:
@@ -181,3 +188,78 @@ class TestNestednessAndConcavity:
                     lhs = ll(mid)
                     rhs = lam * ll(SimplexWeights(p)) + (1 - lam) * ll(SimplexWeights(q))
                     assert lhs >= rhs - 1e-9
+
+
+# points where one basis function holds (nearly) all the mass, or where
+# t^j and (1-t)^(m-j) underflow
+EDGE_POINTS = [0.0, 1.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0 - 2.0**-53]
+EPS = np.finfo(float).eps
+
+
+def exact_cdfs(m, t):
+    """B_mj(t), j = 0..m, as numerators over one denominator: P(Binomial(m+1, t) > j).
+
+    t = p/q exactly (q a power of 2), so every term is an integer over q^(m+1).
+    """
+    p, q = float(t).as_integer_ratio()
+    terms = [math.comb(m + 1, k) * p**k * (q - p) ** (m + 1 - k) for k in range(m + 2)]
+    return list(itertools.accumulate(reversed(terms)))[::-1][1:], q ** (m + 1)
+
+
+def exact_cell_masses(m, t):
+    """B_mj(t_i) - B_mj(t_{i-1}), each rounded once (int / int is correctly rounded)."""
+    cdfs = [exact_cdfs(m, x) for x in t]
+    return np.array(
+        [[(hi * d_lo - lo * d_hi) / (d_lo * d_hi) for lo, hi in zip(a, b)]
+         for (a, d_lo), (b, d_hi) in zip(cdfs[:-1], cdfs[1:])]
+    )
+
+
+def exact_pmfs(m, t):
+    p, q = float(t).as_integer_ratio()
+    return [math.comb(m, j) * p**j * (q - p) ** (m - j) / q**m for j in range(m + 1)]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    points=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_POINTS)), max_size=8),
+    m0=st.integers(0, 8),
+    top=st.integers(0, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recurrence_matches_the_closed_forms(points, m0, top, seed):
+    # every degree the problem iterator derives from its first matches the
+    # closed forms of basis and, at the last degree, the beta_cdf and
+    # beta_density oracle columns and the exact rational values.  The
+    # tolerance is (m+1) eps on the CDF and pmf scale: each degree of the
+    # recurrence adds about one rounding, and the closed forms (exp of a sum
+    # of logs) are themselves off the exact values by up to ~5e-15 at m = 60
+    top = max(top, m0)
+    rng = np.random.default_rng(seed)
+    t = np.unique(np.concatenate(([0.0, 1.0], points)))
+    counts = rng.integers(0, 3, size=t.size - 1)
+    counts[rng.integers(counts.size)] += 1
+    masses = rng.uniform(size=t.size) * (rng.uniform(size=t.size) < 0.7)
+    masses[rng.integers(t.size)] += 1.0
+    populated, atoms = counts > 0, masses > 0.0
+    grouped = _problems(GroupedSample(t, counts), (0.0, 1.0), m0)
+    raw = _problems(RawSample(t), None, m0)
+    quadrature = _problems((t, masses), None, m0)
+    for m in range(m0, top + 1):
+        cells, w_cells = next(grouped)
+        dens, w_raw = next(raw)
+        dens_atoms, w_atoms = next(quadrature)
+        tol = (m + 1) * EPS
+        np.testing.assert_array_equal(w_cells, counts[populated])
+        np.testing.assert_array_equal(w_raw, np.ones(t.size))
+        np.testing.assert_array_equal(w_atoms, masses[atoms])
+        np.testing.assert_allclose(cells, cell_basis_matrix(m, t)[populated], rtol=0, atol=2 * tol)
+        np.testing.assert_allclose(dens, basis_matrix(m, t), rtol=0, atol=2 * tol * (m + 1))
+        np.testing.assert_allclose(dens_atoms, basis_matrix(m, t[atoms]), rtol=0, atol=2 * tol * (m + 1))
+    cdf_columns = np.array([beta_cdf(top, j, t) for j in range(top + 1)]).T
+    density_columns = np.array([beta_density(top, j, t) for j in range(top + 1)]).T
+    np.testing.assert_allclose(cells, np.diff(cdf_columns, axis=0)[populated], rtol=0, atol=2 * tol)
+    np.testing.assert_allclose(dens, density_columns, rtol=0, atol=2 * tol * (m + 1))
+    np.testing.assert_allclose(cells, exact_cell_masses(top, t)[populated], rtol=0, atol=tol)
+    exact_pmf = np.array([exact_pmfs(top, x) for x in t])
+    np.testing.assert_allclose(dens / (top + 1), exact_pmf, rtol=0, atol=tol)

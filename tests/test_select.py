@@ -79,6 +79,31 @@ class TestLowerBound:
         with pytest.raises(DegenerateDataError):
             lower_bound_degree(g, (0.0, 1.0))
 
+    def test_one_populated_cell_of_seven_is_degenerate(self):
+        # the midpoint mean of three equal midpoints sits an ulp off them,
+        # and the uncentred sum of squares read that as a bound of ~7.6e16
+        g = GroupedSample(np.linspace(0.0, 1.0, 8), [3, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(DegenerateDataError):
+            lower_bound_degree(g, (0.0, 1.0))
+
+    def test_one_populated_cell_is_degenerate_on_any_partition(self):
+        for cells in range(1, 41):
+            for count in (2, 3, 7, 100):
+                for j in range(cells):
+                    counts = np.zeros(cells, dtype=int)
+                    counts[j] = count
+                    g = GroupedSample(np.linspace(0.0, 1.0, cells + 1), counts)
+                    with pytest.raises(DegenerateDataError):
+                        lower_bound_degree(g, (0.0, 1.0))
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 1.0 / 3.0])
+    @pytest.mark.parametrize("n", [3, 7, 10])
+    def test_constant_raw_sample_is_degenerate(self, value, n):
+        # the same ulp residue made the default degrees of some constant
+        # samples start near 1e32
+        with pytest.raises(DegenerateDataError):
+            select_degree(RawSample(np.full(n, value)))
+
 
 class TestChangePoint:
     def test_synthetic_sequence(self):
