@@ -103,12 +103,14 @@ class ParametricFamily:
 
 
 def beta_one_family():
-    """beta(alpha, 1) on [0, 1]: F(t) = t^alpha."""
+    """beta(alpha, 1) on [0, 1]: F(t) = t^alpha, density 0 off [0, 1]."""
     return ParametricFamily(
         tag="beta_one",
         param_names=("alpha",),
         cdf=lambda x, prm: np.clip(x, 0.0, 1.0) ** prm[0],
-        pdf=lambda x, prm: prm[0] * np.clip(x, 0.0, 1.0) ** (prm[0] - 1.0),
+        pdf=lambda x, prm: np.where(
+            np.clip(x, 0.0, 1.0) == x, prm[0] * np.clip(x, 0.0, 1.0) ** (prm[0] - 1.0), 0.0
+        ),
         init=lambda mu, var: np.array([np.clip(mu / max(1.0 - mu, 1e-6), 1e-3, 1e3)]),
         to_z=np.log,
         from_z=np.exp,
@@ -116,12 +118,14 @@ def beta_one_family():
 
 
 def exponential_family():
-    """Exponential with mean theta: F(t) = 1 - exp(-t/theta)."""
+    """Exponential with mean theta: F(t) = 1 - exp(-t/theta), density 0 below 0."""
     return ParametricFamily(
         tag="exponential",
         param_names=("theta",),
         cdf=lambda x, prm: -np.expm1(-np.maximum(x, 0.0) / prm[0]),
-        pdf=lambda x, prm: np.exp(-np.maximum(x, 0.0) / prm[0]) / prm[0],
+        pdf=lambda x, prm: np.where(
+            np.greater_equal(x, 0.0), np.exp(-np.maximum(x, 0.0) / prm[0]) / prm[0], 0.0
+        ),
         init=lambda mu, var: np.array([max(mu, 1e-6)]),
         to_z=np.log,
         from_z=np.exp,
@@ -129,15 +133,16 @@ def exponential_family():
 
 
 def pareto_family(scale=0.5):
-    """Pareto with free shape alpha and known scale x0: F(t) = 1 - (x0/t)^alpha."""
+    """Pareto, free shape alpha, known scale x0: F(t) = 1 - (x0/t)^alpha, density 0 below x0."""
 
     def cdf(x, prm):
         x = np.maximum(np.asarray(x, dtype=float), scale)
         return 1.0 - (scale / x) ** prm[0]
 
     def pdf(x, prm):
-        x = np.maximum(np.asarray(x, dtype=float), scale)
-        return prm[0] * scale ** prm[0] / x ** (prm[0] + 1.0)
+        x = np.asarray(x, dtype=float)
+        tail = prm[0] * scale ** prm[0] / np.maximum(x, scale) ** (prm[0] + 1.0)
+        return np.where(x >= scale, tail, 0.0)
 
     def init(mu, var):
         alpha = mu / (mu - scale) if mu > scale * (1.0 + 1e-9) else 2.0
@@ -205,16 +210,19 @@ class ParametricFit:
     support: tuple
 
     def pdf(self, x):
-        """Truncated-and-renormalized density over the fit's support."""
+        """Truncated-and-renormalized density over the fit's support, 0 off it."""
         a, b = self.support
+        x = np.asarray(x, dtype=float)
         mass = float(self.family.cdf(b, self.params) - self.family.cdf(a, self.params))
-        return self.family.pdf(x, self.params) / mass
+        return np.where((x >= a) & (x <= b), self.family.pdf(x, self.params), 0.0) / mass
 
     def cdf(self, x):
+        """Truncated CDF: 0 below the fit's support, 1 above it."""
         a, b = self.support
+        x = np.asarray(x, dtype=float)
         fa = float(self.family.cdf(a, self.params))
         mass = float(self.family.cdf(b, self.params)) - fa
-        return (self.family.cdf(x, self.params) - fa) / mass
+        return np.where(x < a, 0.0, np.where(x > b, 1.0, (self.family.cdf(x, self.params) - fa) / mass))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -108,19 +108,23 @@ class FitReport:
     step.  gap is n (max_j g_j - 1) at the returned weights, an upper
     bound on how far loglik sits below the maximum.  stop_reason is
     "converged" (EM: the relative loglik change fell below tol; SQP: the
-    gap reached GAP_TOL) or "max_iter".  elapsed_s is the wall time of
-    the fit in seconds, from the mass-matrix build to the report.
+    gap reached GAP_TOL) or "max_iter"; converged says it is the former.
+    elapsed_s is the wall time of the fit in seconds, from the
+    mass-matrix build to the report.
     """
 
     weights: SimplexWeights
     loglik: float
     iterations: int
     loglik_trace: np.ndarray
-    converged: bool
     residual: float
     gap: float
     stop_reason: str
     elapsed_s: float
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
 
 def em_step(p, mass_mat, row_weights):
@@ -313,7 +317,6 @@ def _fit(problems, p0=None, config=None):
         _row_loglik(theta, w),
         iterations,
         trace,
-        converged,
         residual,
         _gap(a, w, theta),
         "converged" if converged else "max_iter",

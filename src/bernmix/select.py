@@ -37,23 +37,32 @@ GAIN_FLOOR = 1e-12
 class DegreeSelectionTrace:
     """Everything the degree scan produced.
 
-    degrees[i] pairs with logliks[i]; increments[i-1] = logliks[i] -
-    logliks[i-1] for i >= 1; r_profile[tau-1] is the change-point
-    likelihood ratio R(tau); m_hat = degrees[tau_hat].  fits[i] is the
-    FitReport of degrees[i]; elapsed_s[i] is its wall time in seconds.
+    fits[i] is the FitReport of degrees[i]; r_profile[tau-1] is the
+    change-point likelihood ratio R(tau).  Read off them: logliks[i] and
+    elapsed_s[i] (wall time in seconds) of fits[i], increments[i-1] =
+    logliks[i] - logliks[i-1] for i >= 1, and m_hat = degrees[tau_hat].
     """
 
     degrees: np.ndarray
-    logliks: np.ndarray
-    increments: np.ndarray
     r_profile: np.ndarray
     tau_hat: int
-    m_hat: int
     fits: list
 
     @property
     def best_fit(self):
         return self.fits[self.tau_hat]
+
+    @property
+    def m_hat(self):
+        return int(self.degrees[self.tau_hat])
+
+    @property
+    def logliks(self):
+        return np.asarray([f.loglik for f in self.fits])
+
+    @property
+    def increments(self):
+        return np.diff(self.logliks)
 
     @property
     def elapsed_s(self):
@@ -206,20 +215,11 @@ def select_degree(data, support=None, degrees=None):
         fits.append(_fit(problems, p0))
 
     logliks = np.asarray([f.loglik for f in fits])
-    increments = np.diff(logliks)
-    if increments.size and increments.min() < -1e-6:
+    if np.diff(logliks).min() < -1e-6:
         warnings.warn(
             "loglik decreased along the nested degree scan; the fits are "
             "likely underconverged",
             stacklevel=2,
         )
     tau_hat, r_profile = change_point(logliks)
-    return DegreeSelectionTrace(
-        degrees=degrees,
-        logliks=logliks,
-        increments=increments,
-        r_profile=r_profile,
-        tau_hat=tau_hat,
-        m_hat=int(degrees[tau_hat]),
-        fits=fits,
-    )
+    return DegreeSelectionTrace(degrees=degrees, r_profile=r_profile, tau_hat=tau_hat, fits=fits)

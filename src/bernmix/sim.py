@@ -6,6 +6,11 @@ over replicates, and the acceptance-rejection closeness diagnostic
 (envelope constant c_m and the fraction of true-density draws acceptable
 as mixture draws).
 
+The truths of uniform01, exp1, pareto, normal01 and logistic are the
+baselines families their parametric MLE fits, at the true parameters
+(_FAMILY_LAWS), so normal01 loads scipy through normal_family.  Only the
+Irwin-Hall law of nn<k> (the mean of k uniforms) is written here.
+
 Determinism contract: replicate r of a run with seed s uses the generator
 seeded by (s, r), and replicate results are reduced in replicate order,
 so outputs are bit-reproducible.
@@ -52,8 +57,6 @@ EXP_TRUNCATION = (0.0, 4.0)
 
 SCENARIO_TAGS = ("uniform01", "exp1", "pareto", "nn2", "nn3", "nn4", "normal01", "logistic")
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 # weighted-ISE weight 1/f is floored here: the nearly-normal densities
 # vanish at the support endpoints and would otherwise blow up the integrand
 WEIGHT_FLOOR = 1e-12
@@ -88,6 +91,36 @@ def _box_muller(rng, size):
     return z[:size]
 
 
+def _exponential_draw(rng, size):
+    return -np.log(1.0 - rng.uniform(size=size))
+
+
+def _pareto_draw(rng, size):
+    return PARETO_SCALE * (1.0 - rng.uniform(size=size)) ** (-1.0 / PARETO_SHAPE)
+
+
+def _logistic_draw(rng, size):
+    u = rng.uniform(size=size)
+    with np.errstate(divide="ignore"):
+        return LOGISTIC_SCALE * (np.log(u) - np.log1p(-u))
+
+
+# tag -> (baseline family factory, true parameters, draw, truncation): the
+# truth of each scenario is the family its parametric MLE fits
+_FAMILY_LAWS = {
+    "uniform01": (baselines.beta_one_family, (1.0,), lambda rng, size: rng.uniform(size=size), (0.0, 1.0)),
+    "exp1": (baselines.exponential_family, (1.0,), _exponential_draw, EXP_TRUNCATION),
+    "pareto": (
+        functools.partial(baselines.pareto_family, PARETO_SCALE),
+        (PARETO_SHAPE,),
+        _pareto_draw,
+        PARETO_TRUNCATION,
+    ),
+    "normal01": (baselines.normal_family, (0.0, 1.0), _box_muller, NORMAL_TRUNCATION),
+    "logistic": (baselines.logistic_family, (0.0, LOGISTIC_SCALE), _logistic_draw, LOGISTIC_TRUNCATION),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioDistribution:
     """True density, CDF, raw sampler, truncation, and parametric pairing."""
@@ -105,38 +138,16 @@ def scenario_distribution(tag):
 
     Tags: uniform01, exp1, pareto, nn<k> (e.g. nn4), normal01, logistic.
     """
-    if tag == "uniform01":
+    if tag in _FAMILY_LAWS:
+        factory, params, draw, truncation = _FAMILY_LAWS[tag]
+        family = factory()
         return ScenarioDistribution(
             tag,
-            pdf=lambda x: np.where((np.asarray(x, float) >= 0) & (np.asarray(x, float) <= 1), 1.0, 0.0),
-            cdf=lambda x: np.clip(np.asarray(x, float), 0.0, 1.0),
-            draw=lambda rng, size: rng.uniform(size=size),
-            truncation=(0.0, 1.0),
-            parametric_family=baselines.beta_one_family,
-        )
-    if tag == "exp1":
-        return ScenarioDistribution(
-            tag,
-            pdf=lambda x: np.where(np.asarray(x, float) >= 0, np.exp(-np.maximum(np.asarray(x, float), 0.0)), 0.0),
-            cdf=lambda x: -np.expm1(-np.maximum(np.asarray(x, float), 0.0)),
-            draw=lambda rng, size: -np.log(1.0 - rng.uniform(size=size)),
-            truncation=EXP_TRUNCATION,
-            parametric_family=baselines.exponential_family,
-        )
-    if tag == "pareto":
-        a, x0 = PARETO_SHAPE, PARETO_SCALE
-
-        def pareto_pdf(x):
-            x = np.maximum(np.asarray(x, float), x0)
-            return a * x0**a / x ** (a + 1.0)
-
-        return ScenarioDistribution(
-            tag,
-            pdf=pareto_pdf,
-            cdf=lambda x: 1.0 - (x0 / np.maximum(np.asarray(x, float), x0)) ** a,
-            draw=lambda rng, size: x0 * (1.0 - rng.uniform(size=size)) ** (-1.0 / a),
-            truncation=PARETO_TRUNCATION,
-            parametric_family=lambda: baselines.pareto_family(x0),
+            pdf=lambda x: family.pdf(x, params),
+            cdf=lambda x: family.cdf(x, params),
+            draw=draw,
+            truncation=truncation,
+            parametric_family=factory,
         )
     if tag.startswith("nn"):
         k = int(tag[2:])
@@ -149,38 +160,6 @@ def scenario_distribution(tag):
             draw=lambda rng, size, k=k: rng.uniform(size=(size, k)).mean(axis=1),
             truncation=(0.0, 1.0),
             parametric_family=baselines.normal_family,
-        )
-    if tag == "normal01":
-        from scipy.special import ndtr
-
-        return ScenarioDistribution(
-            tag,
-            pdf=lambda x: np.exp(-0.5 * np.asarray(x, float) ** 2) / _SQRT_2PI,
-            cdf=lambda x: ndtr(np.asarray(x, float)),
-            draw=_box_muller,
-            truncation=NORMAL_TRUNCATION,
-            parametric_family=baselines.normal_family,
-        )
-    if tag == "logistic":
-        s = LOGISTIC_SCALE
-
-        def logistic_pdf(x):
-            z = np.abs(np.asarray(x, float)) / s
-            e = np.exp(-z)
-            return e / (s * (1.0 + e) ** 2)
-
-        def logistic_draw(rng, size):
-            u = rng.uniform(size=size)
-            with np.errstate(divide="ignore"):
-                return s * (np.log(u) - np.log1p(-u))
-
-        return ScenarioDistribution(
-            tag,
-            pdf=logistic_pdf,
-            cdf=lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, float) / s)),
-            draw=logistic_draw,
-            truncation=LOGISTIC_TRUNCATION,
-            parametric_family=baselines.logistic_family,
         )
     raise ValueError(f"unknown scenario tag {tag!r}")
 
@@ -200,6 +179,11 @@ class ScenarioSpec:
     seed: int = 0
     truncation: tuple | None = None
     degrees: tuple | None = None
+
+    def __post_init__(self):
+        for name in ("n", "n_cells", "replicates"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def resolved_truncation(self):
         if self.truncation is not None:

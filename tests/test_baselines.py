@@ -133,3 +133,39 @@ class TestParametricMle:
         fit = parametric_mle_grouped(exponential_family(), g)
         grid = np.linspace(0.0, 4.0, 2001)
         assert simpson(fit.pdf(grid), x=grid) == pytest.approx(1.0, abs=1e-6)
+
+    def test_fitted_pdf_and_cdf_off_the_support(self):
+        g = GroupedSample(np.linspace(0.0, 4.0, 9), [30, 22, 16, 11, 8, 6, 4, 3])
+        fit = parametric_mle_grouped(exponential_family(), g)
+        np.testing.assert_array_equal(fit.pdf(np.array([-1.0, -1e-12, 4.0 + 1e-12, 5.0])), 0.0)
+        np.testing.assert_array_equal(fit.cdf(np.array([-1.0, -1e-12])), 0.0)
+        np.testing.assert_array_equal(fit.cdf(np.array([4.0 + 1e-12, 5.0])), 1.0)
+        assert fit.pdf(-1.0) == 0.0 and fit.cdf(5.0) == 1.0
+        # on the support: the family's law renormalised over [0, 4]
+        x = np.linspace(0.0, 4.0, 101)
+        fam = fit.family
+        mass = fam.cdf(4.0, fit.params) - fam.cdf(0.0, fit.params)
+        np.testing.assert_array_equal(fit.pdf(x), fam.pdf(x, fit.params) / mass)
+        assert fit.cdf(0.0) == 0.0
+        assert fit.cdf(4.0) == pytest.approx(1.0, abs=1e-15)
+
+
+class TestFamilySupport:
+    @pytest.mark.parametrize(
+        "family, params, below",
+        [
+            (beta_one_family(), [1.0], [-1.0, -1e-12]),
+            (beta_one_family(), [2.5], [-1.0, -1e-12]),
+            (exponential_family(), [1.0], [-1.0, -1e-12]),
+            (pareto_family(0.5), [4.0], [0.1, 0.5 - 1e-12]),
+        ],
+        ids=["beta_one", "beta_one_2.5", "exponential", "pareto"],
+    )
+    def test_density_is_zero_below_the_natural_support(self, family, params, below):
+        np.testing.assert_array_equal(family.pdf(np.array(below), np.array(params)), 0.0)
+        np.testing.assert_array_equal(family.cdf(np.array(below), np.array(params)), 0.0)
+
+    def test_beta_one_density_is_zero_above_one(self):
+        fam = beta_one_family()
+        np.testing.assert_array_equal(fam.pdf(np.array([1.0 + 1e-12, 2.0]), np.array([1.0])), 0.0)
+        assert fam.pdf(1.0, np.array([3.0])) == 3.0

@@ -339,6 +339,22 @@ class TestSimulate:
             "--replicates", "1", "--out", str(tmp_path / "x.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--replicates", "0"), ("--replicates", "-1"), ("--n", "0"), ("--cells", "0")],
+    )
+    def test_empty_run_is_input_error(self, tmp_path, capsys, flag, value):
+        args = {"--n": "10", "--cells": "2", "--replicates": "1"}
+        args[flag] = value
+        out = tmp_path / "x.csv"
+        code = main(
+            ["simulate", "--scenario", "exp1", "--estimators", "kernel", "--out", str(out)]
+            + [token for pair in args.items() for token in pair]
+        )
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_harness_failure_exit_code(self, tmp_path, capsys):
         code = main([
             "simulate", "--scenario", "uniform01", "--n", "1", "--cells", "5",

@@ -158,6 +158,10 @@ class TestSelectDegree:
         assert trace.elapsed_s.shape == trace.degrees.shape
         assert np.all(trace.elapsed_s > 0.0)
         assert trace.elapsed_s[3] == trace.fits[3].elapsed_s
+        # the profile, its gains and the selected degree are read off the fits
+        np.testing.assert_array_equal(trace.logliks, [f.loglik for f in trace.fits])
+        np.testing.assert_array_equal(trace.increments, np.diff(trace.logliks))
+        assert type(trace.m_hat) is int
 
     def test_warm_start_matches_cold_logliks(self):
         rng = np.random.default_rng(8)

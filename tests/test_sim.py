@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -73,6 +74,80 @@ class TestGenerators:
         assert a == 0.5
         assert b == pytest.approx(2.0 / 3.0 + 4.0 / np.sqrt(18.0), rel=1e-15)
         assert b == pytest.approx(1.6095, abs=5e-5)
+
+
+# textbook closed forms of the five family laws; pdf, cdf, natural support,
+# and the baseline family the truth is at its true parameters
+TEXTBOOK_LAWS = {
+    "uniform01": (lambda x: np.ones_like(x), lambda x: x, (0.0, 1.0), "beta_one", (1.0,)),
+    "exp1": (lambda x: np.exp(-x), lambda x: -np.expm1(-x), (0.0, np.inf), "exponential", (1.0,)),
+    "pareto": (
+        lambda x: 4.0 * 0.5**4 / x**5,
+        lambda x: 1.0 - (0.5 / x) ** 4,
+        (0.5, np.inf),
+        "pareto",
+        (4.0,),
+    ),
+    "normal01": (
+        lambda x: np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi),
+        lambda x: 0.5 * np.vectorize(math.erfc)(-x / math.sqrt(2.0)),
+        (-np.inf, np.inf),
+        "normal",
+        (0.0, 1.0),
+    ),
+    "logistic": (
+        lambda x: np.exp(-x / 0.5) / (0.5 * (1.0 + np.exp(-x / 0.5)) ** 2),
+        lambda x: 1.0 / (1.0 + np.exp(-x / 0.5)),
+        (-np.inf, np.inf),
+        "logistic",
+        (0.0, 0.5),
+    ),
+}
+
+
+class TestScenarioLaws:
+    @pytest.mark.parametrize("tag", sorted(TEXTBOOK_LAWS))
+    def test_truth_is_the_textbook_law_on_the_truncation(self, tag):
+        pdf, cdf, _, _, _ = TEXTBOOK_LAWS[tag]
+        dist = scenario_distribution(tag)
+        x = np.linspace(*dist.truncation, 20_001)
+        np.testing.assert_allclose(dist.pdf(x), pdf(x), rtol=1e-15, atol=0.0)
+        # the standard library's erfc and scipy's ndtr are different
+        # implementations and part by a few ulps in the lower tail
+        rtol = 1e-14 if tag == "normal01" else 1e-15
+        np.testing.assert_allclose(dist.cdf(x), cdf(x), rtol=rtol, atol=0.0)
+
+    @pytest.mark.parametrize("tag", sorted(TEXTBOOK_LAWS))
+    def test_density_is_zero_off_the_natural_support(self, tag):
+        _, _, (lo, hi), _, _ = TEXTBOOK_LAWS[tag]
+        dist = scenario_distribution(tag)
+        outside = [v for v in (lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0) if np.isfinite(v)]
+        np.testing.assert_array_equal(dist.pdf(np.array(outside)), np.zeros(len(outside)))
+        if np.isfinite(lo):
+            assert dist.cdf(lo - 1.0) == 0.0
+        if np.isfinite(hi):
+            assert dist.cdf(hi + 1.0) == 1.0
+
+    @pytest.mark.parametrize("tag", sorted(TEXTBOOK_LAWS))
+    def test_truth_is_its_parametric_family_at_the_true_parameters(self, tag):
+        _, _, _, family_tag, params = TEXTBOOK_LAWS[tag]
+        dist = scenario_distribution(tag)
+        family = dist.parametric_family()
+        assert family.tag == family_tag
+        a, b = dist.truncation
+        x = np.linspace(a - 1.0, b + 1.0, 1001)
+        np.testing.assert_array_equal(dist.pdf(x), family.pdf(x, np.array(params)))
+        np.testing.assert_array_equal(dist.cdf(x), family.cdf(x, np.array(params)))
+
+
+class TestScenarioSpec:
+    @pytest.mark.parametrize("field", ["n", "n_cells", "replicates"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_runs_are_rejected(self, field, value):
+        kwargs = dict(n=10, n_cells=5, replicates=3)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+            ScenarioSpec("exp1", **kwargs)
 
 
 class TestGrouping:
