@@ -6,8 +6,13 @@ as logarithms of the exact integers C(m, k), rounded once each, so
 degrees in the hundreds stay finite (C(m, k) itself overflows a float
 past m of about 1030), and the basis CDFs use the exact binomial-tail
 identity (integer shapes) instead of a generic incomplete-beta routine.
+
+The basis and CDF matrices feed the likelihood problems.  A mixture with
+known weights is evaluated without a matrix, by Horner's scheme for the
+Bernstein form (_bernstein_sum).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -28,13 +33,70 @@ def _check_index(m, j):
         raise ValueError(f"component index {j} outside [0, {m}]")
 
 
+@functools.lru_cache(maxsize=128)
 def _log_binomials(m):
-    """log C(m, k) for k = 0..m, each rounded once from the exact integer."""
+    """log C(m, k) for k = 0..m, each rounded once from the exact integer.
+
+    The row is built on Python integers, so it is cached per degree and
+    returned read-only.
+    """
     row, c = [], 1
     for k in range(m + 1):
         row.append(math.log(c))
         c = c * (m - k) // (k + 1)
-    return np.array(row)
+    out = np.array(row)
+    out.flags.writeable = False
+    return out
+
+
+# a log C(n, k) above this is shifted down before it becomes a Horner
+# coefficient: with weights at most 1 the n+1 coefficients then sum to at
+# most (n+1) e^600, far below the float maximum (about e^709)
+_LOG_COEF_CAP = 600.0
+# a larger shift would underflow exp(-shift) or overflow exp(shift); it is
+# reached at degree 1882
+_MAX_SHIFT = 700.0
+
+
+def _horner(coefs, s):
+    """coefs[0] s^n + coefs[1] s^(n-1) + ... + coefs[n] at each s."""
+    acc = np.full(s.shape, coefs[0])
+    for ck in coefs[1:]:
+        acc *= s
+        acc += ck
+    return acc
+
+
+def _bernstein_sum(c, t):
+    """sum_k c_k C(n,k) t^k (1-t)^(n-k) at each t in [0, 1], n = len(c) - 1.
+
+    For weights 0 <= c_k <= 1.  Horner's scheme for the Bernstein form
+    (Schumaker & Volk, CAGD 3, 1986) runs in s = t/(1-t) for t <= 1/2 and
+    in (1-t)/t above, so s <= 1 and, the terms being nonnegative, nothing
+    cancels: n multiply-adds per point and no (points x (n+1)) matrix.
+    The binomials enter as exp(log C(n,k) - shift), where shift is 0
+    unless C(n,k) nears the float range (n above 870); it goes back
+    in through the exponent of the power factor.  The ends are exact (c_0
+    at t = 0, c_n at t = 1), and each value depends on its own point
+    alone, so it is the same float alone or in any batch.  Raises
+    ValueError for n above 1881, where no shift keeps every factor finite.
+    """
+    c = np.asarray(c, dtype=float)
+    t = np.asarray(t, dtype=float)
+    n = c.size - 1
+    log_binom = _log_binomials(n)
+    shift = max(0.0, float(log_binom[n // 2]) - _LOG_COEF_CAP)
+    if shift > _MAX_SHIFT:
+        raise ValueError(f"degree {n} is above the evaluator's range (1881)")
+    b = c * np.exp(log_binom - shift)
+    out = np.empty(t.shape)
+    low = t <= 0.5
+    tl, th = t[low], t[~low]
+    out[low] = _horner(b[::-1], tl / (1.0 - tl)) * np.exp(n * np.log1p(-tl) + shift)
+    out[~low] = _horner(b, (1.0 - th) / th) * np.exp(n * np.log(th) + shift)
+    out[t == 0.0] = c[0]
+    out[t == 1.0] = c[n]
+    return out
 
 
 def _check_unit(t):

@@ -166,31 +166,14 @@ def cell_probabilities(weights, breakpoints, support):
     return np.clip(theta, 0.0, None)
 
 
-# points per block of basis values: bounds the (points x (m+1)) temporaries
-EVAL_BLOCK = 2048
-
-
-def _mix(matrix, m, u, p):
-    """matrix(m, u) @ p, built EVAL_BLOCK points at a time.
-
-    Each block is summed one column at a time, so a point's value depends
-    on that point alone and is the same float alone or in any batch (a
-    BLAS matrix-vector product blocks rows and can differ between the two
-    in the last ulp); the blocks keep memory flat in the number of points.
-    """
-    vals = np.empty(u.size)
-    for lo in range(0, u.size, EVAL_BLOCK):
-        mat = matrix(m, u[lo : lo + EVAL_BLOCK])
-        block = vals[lo : lo + EVAL_BLOCK]
-        np.multiply(mat[:, 0], p[0], out=block)
-        for col, pj in zip(mat.T[1:], p[1:]):
-            block += col * pj
-    return vals
-
-
 @dataclass(frozen=True, eq=False)
 class BernsteinMixture:
-    """Beta-mixture density on an explicit support interval [a, b]."""
+    """Beta-mixture density on an explicit support interval [a, b].
+
+    pdf and cdf are one matrix-free Horner sum each (basis._bernstein_sum):
+    memory linear in the number of points, and a point's value is the
+    same float whether it is evaluated alone or in any batch.
+    """
 
     weights: SimplexWeights
     support: tuple = (0.0, 1.0)
@@ -203,18 +186,35 @@ class BernsteinMixture:
         return self.weights.m
 
     def pdf(self, x):
-        """Density at x in original units (includes the 1/(b-a) Jacobian)."""
+        """Density at x in original units (includes the 1/(b-a) Jacobian).
+
+        f(t) = (m+1) sum_j p_j C(m,j) t^j (1-t)^(m-j) on the unit scale.
+        """
         u = to_unit(x, self.support)
         scalar = u.ndim == 0
-        vals = _mix(basis.basis_matrix, self.m, np.atleast_1d(u), self.weights.p)
+        vals = (self.m + 1) * basis._bernstein_sum(self.weights.p, np.atleast_1d(u))
         vals /= self.support[1] - self.support[0]
         return float(vals[0]) if scalar else vals
 
     def cdf(self, x):
-        """Distribution function at x; 0 at a and 1 at b."""
+        """Distribution function at x; exactly 0 at a and 1 at b.
+
+        Summing the binomial-tail identity of the basis CDFs over j gives
+        F(t) = sum_k P_(k-1) C(m+1,k) t^k (1-t)^(m+1-k), with P_(-1) = 0 and
+        P_j = p_0 + ... + p_j for the weights scaled to sum to 1.  Above
+        t = 1/2 the same sum over the tails 1 - P_(k-1) = p_k + ... + p_m
+        gives 1 - F, so F near 1 keeps the accuracy of its small complement
+        and stays nondecreasing where the density vanishes toward b.
+        """
         u = to_unit(x, self.support)
         scalar = u.ndim == 0
-        vals = _mix(basis.cdf_matrix, self.m, np.atleast_1d(u), self.weights.p)
+        u = np.atleast_1d(u)
+        p = self.weights.p / self.weights.p.sum()
+        low = u <= 0.5
+        vals = np.empty(u.shape)
+        vals[low] = basis._bernstein_sum(np.concatenate(([0.0], np.cumsum(p))), u[low])
+        tails = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+        vals[~low] = 1.0 - basis._bernstein_sum(tails, u[~low])
         vals = np.clip(vals, 0.0, 1.0)
         return float(vals[0]) if scalar else vals
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from bernmix import basis_matrix, beta_cdf, beta_density, cdf_matrix, degree_elevate
-from bernmix.basis import _log_binomials
+from bernmix.basis import _bernstein_sum, _log_binomials
 
 GL_NODES, GL_WEIGHTS = leggauss(64)
 GL_T = 0.5 * (GL_NODES + 1.0)  # map to [0, 1]
@@ -119,6 +120,12 @@ class TestLogBinomials:
             exact = [math.log(math.comb(m, k)) for k in range(m + 1)]
             assert _log_binomials(m).tolist() == exact
 
+    def test_cached_row_is_read_only(self):
+        row = _log_binomials(17)
+        assert _log_binomials(17) is row
+        with pytest.raises(ValueError):
+            row[3] = 0.0
+
     def test_degree_in_the_thousand_range_stays_finite(self):
         # C(1001, k) overflows a float, its log does not
         m = 1000
@@ -129,6 +136,54 @@ class TestLogBinomials:
         for j in range(m + 1):
             np.testing.assert_allclose(dens[:, j], beta_density(m, j, t), rtol=1e-13)
             np.testing.assert_allclose(cdfs[:, j], beta_cdf(m, j, t), rtol=0.0, atol=1e-14)
+
+
+def exact_bernstein_sum(c, t):
+    """sum_k c_k C(n,k) t^k (1-t)^(n-k) in exact rational arithmetic."""
+    n, t = len(c) - 1, Fraction(t)
+    return sum(Fraction(ck) * math.comb(n, k) * t**k * (1 - t) ** (n - k) for k, ck in enumerate(c))
+
+
+class TestBernsteinSum:
+    EXACT_POINTS = (0.0, 1e-300, 1e-3, 0.5, 0.999, 1.0 - 2.0**-53, 1.0)
+
+    @pytest.mark.parametrize("m", [0, 1, 5, 32, 60])
+    def test_matches_exact_rational_sum(self, m):
+        c = np.random.default_rng(m).dirichlet(np.ones(m + 1))
+        got = _bernstein_sum(c, np.array(self.EXACT_POINTS))
+        bound = 4 * (m + 1) * np.finfo(float).eps
+        for t, value in zip(self.EXACT_POINTS, got):
+            exact = float(exact_bernstein_sum(c, t))
+            assert abs(value - exact) <= bound * exact, (t, value, exact)
+
+    @pytest.mark.parametrize("m", [1100, 1500])
+    def test_past_the_binomial_overflow_matches_the_basis_matrix(self, m):
+        # C(m, k) itself overflows a float past m of about 1030
+        p = np.random.default_rng(m).dirichlet(np.ones(m + 1))
+        t = np.concatenate((np.linspace(0.0, 1.0, 1001), [1e-6, 0.4999, 0.5001, 1.0 - 1e-6]))
+        vals = (m + 1) * _bernstein_sum(p, t)
+        assert np.all(np.isfinite(vals))
+        np.testing.assert_allclose(vals, basis_matrix(m, t) @ p, rtol=1e-12, atol=0.0)
+
+    def test_degree_past_the_range_is_refused(self):
+        _bernstein_sum(np.full(1882, 1.0 / 1882), np.array([0.5]))
+        with pytest.raises(ValueError, match="degree 1882"):
+            _bernstein_sum(np.full(1883, 1.0 / 1883), np.array([0.5]))
+
+    def test_ends_are_the_end_weights(self):
+        c = np.random.default_rng(3).dirichlet(np.ones(9))
+        assert _bernstein_sum(c, np.array([0.0, 1.0])).tolist() == [c[0], c[-1]]
+
+    def test_value_alone_equals_value_in_any_batch(self):
+        rng = np.random.default_rng(8)
+        c = rng.dirichlet(np.ones(21))
+        t = np.concatenate((rng.uniform(size=5000), [0.0, 0.5, 1.0]))
+        batch = _bernstein_sum(c, t)
+        for i in rng.choice(t.size, size=100, replace=False):
+            assert _bernstein_sum(c, t[i : i + 1])[0] == batch[i]
+        order = rng.permutation(t.size)
+        assert np.array_equal(_bernstein_sum(c, t[order]), batch[order])
+        assert np.array_equal(_bernstein_sum(c, t[::7]), batch[::7])
 
 
 class TestDegreeElevate:

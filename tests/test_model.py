@@ -1,3 +1,6 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -19,7 +22,18 @@ from bernmix import (
     select_degree,
     to_unit,
 )
-from bernmix.model import EVAL_BLOCK
+from bernmix.cli import read_grouped_csv
+
+CHICKEN_CSV = Path(__file__).resolve().parent.parent / "data" / "chicken_embryo.csv"
+
+
+@pytest.fixture(scope="module")
+def chicken_model():
+    """The README's chicken-embryo model: degree 13, zero weight at the top end."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        trace = select_degree(read_grouped_csv(CHICKEN_CSV), (0.0, 21.0), degrees=range(2, 51))
+    return BernsteinMixture(trace.best_fit.weights, (0.0, 21.0))
 
 
 def gl_integral(f, a, b, nodes=64):
@@ -110,18 +124,36 @@ class TestDensityAndCdf:
             assert gl_integral(mix.pdf, -1.0, 2.5) == pytest.approx(1.0, abs=1e-6)
 
     def test_batch_values_equal_pointwise_values(self):
-        # several evaluation blocks: a point's value does not depend on the
-        # other points it is evaluated with
+        # a point's value does not depend on the other points it is
+        # evaluated with
         rng = np.random.default_rng(4)
         p = rng.dirichlet(np.ones(14))
         mix = BernsteinMixture(SimplexWeights(p), (0.0, 21.0))
-        x = np.sort(rng.uniform(0.0, 21.0, size=2 * EVAL_BLOCK + 7))
+        x = np.sort(rng.uniform(0.0, 21.0, size=4103))
         dens, cdf = mix.pdf(x), mix.cdf(x)
         for i in rng.choice(x.size, size=200, replace=False):
             assert dens[i] == mix.pdf(x[i]) and cdf[i] == mix.cdf(x[i])
         u = x / 21.0
         np.testing.assert_allclose(dens, basis_matrix(13, u) @ p / 21.0, rtol=1e-14)
         np.testing.assert_allclose(cdf, cdf_matrix(13, u) @ p, rtol=1e-14, atol=1e-16)
+
+    def test_pdf_at_the_ends_is_the_end_weight(self):
+        p = np.random.default_rng(6).dirichlet(np.ones(12))
+        mix = BernsteinMixture(SimplexWeights(p))
+        assert mix.pdf(0.0) == 12 * p[0] and mix.pdf(1.0) == 12 * p[-1]
+
+    def test_cdf_is_exact_at_the_ends_and_nondecreasing(self, chicken_model):
+        rng = np.random.default_rng(7)
+        sparse = rng.dirichlet(np.ones(30))
+        sparse[:4] = sparse[-6:] = 0.0  # the density vanishes near both ends
+        weights = [rng.dirichlet(np.ones(m + 1)) for m in (0, 1, 7, 40)] + [sparse / sparse.sum()]
+        models = [chicken_model] + [BernsteinMixture(SimplexWeights(p), (0.0, 21.0)) for p in weights]
+        for mix in models:
+            a, b = mix.support
+            cdf = mix.cdf(np.linspace(a, b, 20_001))
+            assert cdf[0] == 0.0 and cdf[-1] == 1.0
+            assert mix.cdf(a) == 0.0 and mix.cdf(b) == 1.0
+            assert np.all(np.diff(cdf) >= 0.0)
 
     def test_cdf_equals_density_quadrature(self):
         rng = np.random.default_rng(2)

@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
 from bernmix import (
+    BernsteinMixture,
     RawSample,
     ScenarioSpec,
     SimplexWeights,
@@ -237,7 +238,7 @@ class TestAcceptanceRejection:
     def test_self_acceptance_is_exact(self):
         rng = np.random.default_rng(2)
         w = SimplexWeights(rng.dirichlet(np.ones(5)))
-        pdf = lambda t: basis_matrix(4, np.atleast_1d(t)) @ w.p
+        pdf = BernsteinMixture(w).pdf
         c, kept = acceptance_rejection_diag(pdf, w, n=5000, seed=3)
         assert c == 1.0
         assert kept == 1.0
@@ -248,6 +249,14 @@ class TestAcceptanceRejection:
         c, kept = acceptance_rejection_diag(pdf, w, n=20_000, seed=4)
         assert c == pytest.approx(1.2, abs=1e-9)
         assert kept == pytest.approx(1 / 1.2, abs=0.02)
+
+    def test_envelope_off_the_grid(self):
+        # f_m = 3[0.25(1-t)^2 + 1.1 t(1-t) + 0.2 t^2] peaks at t* = 6/13,
+        # between grid points: the grid maximum alone is 2.5e-9 low
+        w = SimplexWeights(np.array([0.25, 0.55, 0.2]))
+        pdf = lambda t: np.ones_like(np.atleast_1d(np.asarray(t, float)))
+        c, _ = acceptance_rejection_diag(pdf, w, n=100, seed=8)
+        assert c == pytest.approx(196.95 / 169, rel=1e-14)
 
     def test_kept_fraction_rises_with_degree(self):
         f = true_unit_pdf(spec_for("normal01"))
