@@ -169,6 +169,31 @@ class TestGrouping:
         assert g.n == 1000
 
 
+class TestIntegratedSquaredError:
+    @pytest.mark.parametrize("grid", ["2001", "2000", "uneven"])
+    def test_matches_scipy_simpson(self, grid):
+        rng = np.random.default_rng(29)
+        if grid == "uneven":
+            x = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(size=1199)]))
+        else:
+            x = np.linspace(0.0, 1.0, int(grid))
+        truth = 1.0 + 0.5 * np.sin(6.0 * x)
+        fhat = truth + 0.05 * np.cos(17.0 * x) + 0.01 * rng.normal(size=x.size)
+        diff2 = (fhat - truth) ** 2
+        plain = integrated_squared_error(fhat, truth, x)
+        weighted = integrated_squared_error(fhat, truth, x, weighted=True)
+        assert plain == pytest.approx(simpson(diff2, x=x), rel=1e-13, abs=0.0)
+        assert weighted == pytest.approx(simpson(diff2 / truth, x=x), rel=1e-13, abs=0.0)
+
+    def test_grid_must_increase(self):
+        y = np.ones(5)
+        for grid in ([0.0, 0.25, 0.25, 0.75, 1.0], [1.0, 0.75, 0.5, 0.25, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                integrated_squared_error(y, 0.0 * y, np.array(grid))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            integrated_squared_error(y, 0.0 * y, np.ones((5, 1)))
+
+
 class TestMise:
     def test_truth_oracle_is_zero_everywhere(self):
         for tag in SCENARIO_TAGS:
