@@ -134,13 +134,36 @@ def em_step(p, mass_mat, row_weights):
     component j, so the update p_j <- p_j sum_i w_i A_ij / (A p)_i / n is
     two matrix-vector products.
     """
-    theta = np.dot(mass_mat, p)
-    ratio = row_weights / theta
-    loglik = float(np.dot(row_weights, np.log(theta, out=theta)))
-    p_next = np.dot(ratio, mass_mat)
-    p_next *= p
-    p_next /= np.add.reduce(row_weights)
+    p_next = np.empty(mass_mat.shape[1])
+    loglik = _em_stepper(mass_mat, row_weights)(p, p_next)
     return p_next, loglik
+
+
+def _em_stepper(mass_mat, row_weights):
+    """em_step on buffers allocated once, for a loop of ~1e5 steps.
+
+    step(p, out) writes the next weights into out (not p) and returns
+    the loglik at p, by the same arithmetic as em_step.  It makes no new
+    array: on matrices of a few dozen rows the calls, not the flops, are
+    the cost of a step, and this cuts it by about a third.
+    """
+    theta = np.empty(mass_mat.shape[0])
+    ratio = np.empty_like(theta)
+    n = float(np.add.reduce(row_weights))
+    # bound methods and ufuncs: np.dot would add a dispatch per call
+    mass_dot, ratio_dot, weight_dot = mass_mat.dot, ratio.dot, row_weights.dot
+    divide, log, multiply = np.divide, np.log, np.multiply
+
+    def step(p, out):
+        mass_dot(p, out=theta)
+        divide(row_weights, theta, out=ratio)
+        loglik = float(weight_dot(log(theta, out=theta)))
+        ratio_dot(mass_mat, out=out)
+        multiply(out, p, out=out)
+        divide(out, n, out=out)
+        return loglik
+
+    return step
 
 
 def _output_weights(p):
@@ -149,15 +172,19 @@ def _output_weights(p):
 
 
 def _iterate(p0, mass_mat, row_weights, config):
-    p = np.asarray(p0, dtype=float)
-    p_next, ll = em_step(p, mass_mat, row_weights)
+    step = _em_stepper(mass_mat, row_weights)
+    # two buffers that trade places each step: p is the iterate, p_next
+    # its update
+    p = np.array(p0, dtype=float)
+    p_next = np.empty_like(p)
+    ll = step(p, p_next)
     # array("d"): a fit may run ~1e5 steps, a list of floats is 4x larger
     trace = array("d", [ll])
     append, tol = trace.append, config.tol
     iterations, converged = 0, False
     for iterations in range(1, config.max_iter + 1):
-        p = p_next
-        p_next, ll_new = em_step(p, mass_mat, row_weights)
+        p, p_next = p_next, p
+        ll_new = step(p, p_next)
         append(ll_new)
         converged = abs(ll_new - ll) / (1.0 + abs(ll)) < tol
         ll = ll_new
