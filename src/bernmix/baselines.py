@@ -197,8 +197,10 @@ def pareto_family(scale=0.5):
     """Pareto, free shape alpha, known scale x0: F(t) = 1 - (x0/t)^alpha, density 0 below x0."""
 
     def cdf(x, prm):
+        # 1 - (x0/x)^alpha cancels for small alpha, and log(x0/x) loses the
+        # digits of x - x0 near x0
         x = np.maximum(np.asarray(x, dtype=float), scale)
-        return 1.0 - (scale / x) ** prm[0]
+        return -np.expm1(-prm[0] * np.log1p((x - scale) / scale))
 
     def sf(x, prm):
         return (scale / np.maximum(np.asarray(x, dtype=float), scale)) ** prm[0]
@@ -328,9 +330,9 @@ _ARMIJO = 1e-4
 # gain, is this share of |loglik| (below it the gain is lost in rounding) and
 # the Newton step is this short.  The last step is taken without a line
 # search, which only a short step allows; a loglik that flattens out towards
-# a parameter at infinity has a small decrement but long steps
+# a parameter at infinity has a small decrement but Newton steps of order 1
 _DECREMENT_STOP = 1e-15
-_STEP_STOP = 1e-6
+_STEP_STOP = 1e-3
 
 
 def parametric_mle_grouped(family, grouped):
@@ -345,9 +347,9 @@ def parametric_mle_grouped(family, grouped):
     enough (Armijo), and where -H is not positive definite the step
     follows the gradient instead.  A coordinate on a face of the box
     whose gradient points out of it is held there.  converged means the
-    Newton decrement reached the stop with a short Newton step;
-    boundary_pinned means the search ended on the box.  Optimizer trouble
-    is flagged, not raised.
+    Newton decrement reached the stop with a short Newton step, or that no
+    point along a short Newton step raises l; boundary_pinned means the
+    search ended on the box.  Optimizer trouble is flagged, not raised.
     """
     bp = grouped.breakpoints
     counts = grouped.counts.astype(float)
@@ -408,6 +410,7 @@ def parametric_mle_grouped(family, grouped):
         if not free.any():
             converged = True
             break
+        short = False
         try:
             np.linalg.cholesky(-h)
             step = np.linalg.solve(-h, g)
@@ -442,6 +445,9 @@ def parametric_mle_grouped(family, grouped):
                 break
             t *= 0.5
         else:
+            # no point along a short Newton step raises l: the gain left is
+            # below the rounding of l, which narrow cells lift above the stop
+            converged = short
             break
     return ParametricFit(
         family=family,

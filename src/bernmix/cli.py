@@ -7,12 +7,14 @@ Grouped CSV: header "lower,upper,count", one contiguous cell per row
 Raw data: plain text, one number per line; blank lines ignored.
 Model JSON: degree, weights, support, loglik, converged, plus the
 selection trace (with each fit's gap and step count) when --select
-produced the model.
+produced the model.  Every model comes from the certified solver of the
+degree scan (em._fit); "converged" says its gap reached em.GAP_TOL.
 MISE CSV columns: scenario,n,cells,estimator,mise,weighted_mise,
 degree_mean,degree_var,replicates.
 
 All floats are serialized with 17 significant digits, UTF-8, LF line
-endings.  Exit codes: 0 ok, 2 input error, 3 non-convergence, 4 eval
+endings.  Exit codes: 0 ok, 2 input error, 3 non-convergence (the
+solver stopped at em.SQP_MAX_STEPS; the model is still written), 4 eval
 domain flag, 5 harness failure.  A warning of a degree scan in fit
 --select or simulate (a first degree not below the moment lower bound,
 a loglik that fell along the scan) is printed once as one
@@ -27,9 +29,9 @@ import warnings
 
 import numpy as np
 
-from .em import EmConfig, em_grouped, em_raw
+from .em import _fit
 from .errors import DegenerateDataError, HarnessError, SelectionError
-from .likelihood import RawSample, RoundedSample, rounded_to_grouped
+from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
 from .model import BernsteinMixture, GroupedSample, SimplexWeights
 from .select import lower_bound_degree, select_degree
 from .sim import ScenarioSpec, mise
@@ -268,11 +270,7 @@ def cmd_fit(args):
         selection = _selection_doc(trace)
         report = trace.best_fit
     else:
-        config = EmConfig(tol=args.tol, max_iter=args.max_iter)
-        if isinstance(data, GroupedSample):
-            report = em_grouped(data, support, args.degree, config)
-        else:
-            report = em_raw(data, args.degree, config)
+        report = _fit(_problems(data, support, args.degree))
 
     write_model_json(
         args.out, report.weights, support, report.loglik, report.converged, selection
@@ -385,15 +383,6 @@ def build_parser():
     fit.add_argument("--select", action="store_true", help="select the degree by change point")
     fit.add_argument("--degrees", help="degree range for --select, e.g. 2..50")
     fit.add_argument("--rounded", type=int, metavar="K", help="treat raw values as rounded to i/K")
-    fit.add_argument(
-        "--tol", type=float, default=1e-8,
-        help="EM relative loglik stopping threshold (--degree fits only; "
-        "--select fits stop on a certified optimality gap)",
-    )
-    fit.add_argument(
-        "--max-iter", type=int, default=100_000,
-        help="EM iteration cap (--degree fits only)",
-    )
     fit.add_argument("--out", required=True, help="output model JSON path")
     fit.set_defaults(func=cmd_fit)
 

@@ -15,15 +15,15 @@ every fit runs the same path (_fit): build the problem, solve it, report.
 
 Two solvers share this form:
 
-- EM, the paper's algorithm (em_raw and em_grouped, one step em_step):
-  the multiplicative map p_j <- p_j g_j from a strictly positive start,
-  which converges to the maximiser.  It stops when the relative loglik
-  change |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol, or
-  after EmConfig.max_iter updates; that stop says nothing about the gap.
-- The certified solver behind every fit of a degree scan
-  (select_degree) and the population fit (sim.best_mixture_approximation):
-  active-set SQP on the mixSQP form of the problem (Kim, Carbonetto,
-  Stephens and Anitescu, JCGS 2020).  Its line search accepts a trial
+- EM, the paper's algorithm, behind em_raw and em_grouped only (one step
+  em_step): the multiplicative map p_j <- p_j g_j from a strictly positive
+  start, which converges to the maximiser.  It stops when the relative
+  loglik change |l_{s+1} - l_s| / (1 + |l_s|) drops below EmConfig.tol,
+  or after EmConfig.max_iter updates; that stop says nothing about the gap.
+- The certified solver behind every fit of a degree scan (select_degree),
+  the population fit (sim.best_mixture_approximation) and every model the
+  CLI writes: active-set SQP on the mixSQP form of the problem (Kim,
+  Carbonetto, Stephens and Anitescu, JCGS 2020).  Its line search accepts a trial
   point only if every row mass (A p)_i keeps more than ROW_MASS_SHARE of
   its current value, so that a cold start of high degree cannot strand a
   tail row near 0.  It stops when the gap is at most GAP_TOL, or after

@@ -70,22 +70,17 @@ WEIGHT_FLOOR = 1e-12
 MAX_FAILURE_SHARE = 0.05
 
 
-def _irwin_hall_cdf(s, k):
-    s = np.asarray(s, dtype=float)
+def _irwin_hall_sum(s, k, power):
+    """sum_j (-1)^j C(k, j) (s - j)_+^power / power!, unclipped.
+
+    At s = k x, power k gives the CDF of the sum of k uniforms, power k - 1
+    its density; s is a float array.
+    """
     out = np.zeros(s.shape)
     for j in range(k + 1):
         d = s - j
-        out += (-1.0) ** j * comb(k, j) * np.where(d > 0.0, d, 0.0) ** k
-    return np.clip(out / factorial(k), 0.0, 1.0)
-
-
-def _irwin_hall_pdf(s, k):
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    for j in range(k + 1):
-        d = s - j
-        out += (-1.0) ** j * comb(k, j) * np.where(d > 0.0, d, 0.0) ** (k - 1)
-    return np.clip(out / factorial(k - 1), 0.0, None)
+        out += (-1.0) ** j * comb(k, j) * np.where(d > 0.0, d, 0.0) ** power
+    return out / factorial(power)
 
 
 def _box_muller(rng, size):
@@ -161,8 +156,12 @@ def scenario_distribution(tag):
             raise ValueError(f"unknown scenario tag {tag!r}")
         return ScenarioDistribution(
             tag,
-            pdf=lambda x, k=k: k * _irwin_hall_pdf(k * np.asarray(x, float), k),
-            cdf=lambda x, k=k: _irwin_hall_cdf(k * np.asarray(x, float), k),
+            pdf=lambda x, k=k: k * np.clip(
+                _irwin_hall_sum(k * np.asarray(x, float), k, k - 1), 0.0, None
+            ),
+            cdf=lambda x, k=k: np.clip(
+                _irwin_hall_sum(k * np.asarray(x, float), k, k), 0.0, 1.0
+            ),
             draw=lambda rng, size, k=k: rng.uniform(size=(size, k)).mean(axis=1),
             truncation=(0.0, 1.0),
             parametric_family=baselines.normal_family,

@@ -243,6 +243,34 @@ class TestParametricMle:
             assert np.isfinite(fit.loglik)
             assert fit.loglik >= grouped_loglik(family, g, moment_start(family, g)) - 1e-9
 
+    def test_pareto_cdf_keeps_its_digits_as_alpha_tends_to_zero(self):
+        # F = 1 - (x0/x)^alpha = alpha log(x/x0) (1 + O(alpha log(x/x0)));
+        # taken as a difference from 1 it keeps 5 or 6 digits at alpha = 1e-10
+        x = np.linspace(0.5, 1.6, 12)[1:]
+        for alpha in (1e-6, 1e-10):
+            want = alpha * np.log(x / 0.5)
+            np.testing.assert_allclose(pareto_family(0.5).cdf(x, np.array([alpha])), want, rtol=2 * alpha)
+
+    def test_pareto_fits_on_random_partitions_converge_or_pin(self):
+        # random partitions of [0.5, 1.6] with 2-15 cells and counts from
+        # Dirichlet(1) cell masses: the fits that head for alpha -> 0
+        # stalled on the cancelling CDF, neither converged nor pinned
+        rng = np.random.default_rng(35)
+        family, stalled, fits = pareto_family(0.5), [], 0
+        for _ in range(200):
+            k = int(rng.integers(2, 16))
+            bp = np.concatenate([[0.5], np.sort(rng.uniform(0.5, 1.6, k - 1)), [1.6]])
+            counts = rng.multinomial(200, rng.dirichlet(np.ones(k)))
+            if np.count_nonzero(counts) < 2:
+                continue  # one populated cell: test_degenerate_groupings_are_flagged
+            fit = parametric_mle_grouped(family, GroupedSample(bp, counts))
+            fits += 1
+            assert np.isfinite(fit.loglik)
+            if not (fit.converged or fit.boundary_pinned):
+                stalled.append((fit.params[0], bp.size - 1))
+        assert fits >= 190
+        assert stalled == []
+
     def test_cdf_derivatives_match_finite_differences(self):
         cases = [
             (logistic_family(), [0.3, 0.4], np.linspace(-3.0, 3.0, 13)),

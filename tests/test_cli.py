@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernmix import BernsteinMixture, SimplexWeights
-from bernmix.cli import main, read_model_json
+import bernmix.em
+from bernmix import BernsteinMixture, SimplexWeights, beta_cdf
+from bernmix.cli import main, read_grouped_csv, read_model_json
 
 ROOT = Path(__file__).resolve().parent.parent
+CHICKEN_CSV = ROOT / "data" / "chicken_embryo.csv"
 
 
 def write(path, text):
@@ -96,7 +100,7 @@ class TestFit:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         out = tmp_path / "model.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "bernmix.cli", "fit", "--grouped", str(ROOT / "data" / "chicken_embryo.csv"),
+            [sys.executable, "-m", "bernmix.cli", "fit", "--grouped", str(CHICKEN_CSV),
              "--support", "0,21", "--select", "--degrees", "2..50", "--out", str(out)],
             env=env,
             capture_output=True,
@@ -148,14 +152,38 @@ class TestFit:
         model = read_model_json(out)
         assert model.m == 3
 
-    def test_nonconvergence_exit_code(self, grouped_csv, tmp_path):
+    def test_solver_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one outer SQP step leaves the chicken-embryo degree-13 fit far
+        # from its certificate; the model is still written
+        monkeypatch.setattr(bernmix.em, "SQP_MAX_STEPS", 1)
         out = tmp_path / "m.json"
-        code = main(
-            ["fit", "--grouped", str(grouped_csv), "--degree", "4",
-             "--tol", "1e-15", "--max-iter", "3", "--out", str(out)]
-        )
+        code = main(["fit", "--grouped", str(CHICKEN_CSV), "--support", "0,21", "--degree", "13", "--out", str(out)])
         assert code == 3
         assert json.loads(out.read_text())["converged"] is False
+        gap = re.fullmatch(r"fit did not converge within 1 steps \(optimality gap (\S+)\)\n", capsys.readouterr().err)
+        assert gap and float(gap[1]) > bernmix.em.GAP_TOL
+
+    def test_fixed_degree_fit_is_the_certified_scan_fit(self, tmp_path):
+        # fit --degree runs the solver of the --select scan: the same
+        # loglik at degree 13, and weights whose gradient bound, taken on
+        # cell masses of the independent beta_cdf oracle, is at most 1e-8
+        fixed, scan = tmp_path / "fixed.json", tmp_path / "scan.json"
+        data = ["--grouped", str(CHICKEN_CSV), "--support", "0,21"]
+        assert main(["fit", *data, "--degree", "13", "--out", str(fixed)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the scan's left-edge note
+            assert main(["fit", *data, "--select", "--degrees", "2..50", "--out", str(scan)]) == 0
+        doc, sel = json.loads(fixed.read_text()), json.loads(scan.read_text())["selection"]
+        assert doc["converged"] is True
+        assert doc["loglik"] == pytest.approx(sel["logliks"][sel["degrees"].index(13)], rel=0.0, abs=1e-9)
+        grouped = read_grouped_csv(CHICKEN_CSV)
+        t = grouped.breakpoints / 21.0
+        cdfs = np.array([beta_cdf(13, j, t) for j in range(14)]).T
+        pos = grouped.counts > 0
+        mass = np.diff(cdfs, axis=0)[pos]
+        counts = grouped.counts[pos]
+        grad = mass.T @ (counts / (mass @ np.array(doc["weights"])))
+        assert grad.max() - counts.sum() <= 1e-8
 
     def test_exactly_one_input_mode(self, grouped_csv):
         assert main(["fit", "--grouped", str(grouped_csv), "--raw", "x", "--degree", "1", "--out", "m.json"]) == 2
@@ -487,10 +515,9 @@ DEGREE_FLAGS = st.one_of(
     raw_text=raw_files(),
     support=SUPPORTS,
     degree=DEGREE_FLAGS,
-    max_iter=st.sampled_from([200, 200, 30, 1, 0]),
     rounded=st.one_of(st.none(), st.integers(-1, 4)),
 )
-def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, support, degree, max_iter, rounded):
+def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, support, degree, rounded):
     # README: 0 ok, 2 input error, 3 fit did not converge; never a traceback
     with tempfile.TemporaryDirectory() as tmp:
         grouped, raw, out = (os.path.join(tmp, name) for name in ("g.csv", "raw.txt", "m.json"))
@@ -503,7 +530,7 @@ def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, suppo
             data = ["--grouped", grouped] if command == "fit-grouped" else ["--raw", raw]
             if rounded is not None and command == "fit-raw":
                 data += ["--rounded", str(rounded)]
-            argv = ["fit", *data, *support_flag, *degree, "--max-iter", str(max_iter), "--out", out]
+            argv = ["fit", *data, *support_flag, *degree, "--out", out]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:

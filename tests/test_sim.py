@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -84,7 +85,9 @@ TEXTBOOK_LAWS = {
     "exp1": (lambda x: np.exp(-x), lambda x: -np.expm1(-x), (0.0, np.inf), "exponential", (1.0,)),
     "pareto": (
         lambda x: 4.0 * 0.5**4 / x**5,
-        lambda x: 1.0 - (0.5 / x) ** 4,
+        # exact rationals: 1 - (0.5/x)^4 in floats cancels near 0.5, by up
+        # to 1.6e-13 relative on the truncation grid
+        lambda x: np.array([float(1 - (Fraction(1, 2) / Fraction(v)) ** 4) for v in x.tolist()]),
         (0.5, np.inf),
         "pareto",
         (4.0,),
