@@ -11,8 +11,9 @@ by the partition, so comparisons against estimators fitted on the same
 truncated data are fair.  One damped Newton solver serves every family:
 each family supplies the first and second derivatives of its CDF with
 respect to its unconstrained coordinates, which give the exact gradient
-and Hessian of the grouped loglik.  The module uses numpy only, apart
-from scipy.special.ndtr in normal_family.
+and Hessian of the grouped loglik.  The module uses numpy and the
+standard library only: the normal CDF is the standard library's erfc,
+applied elementwise.
 """
 
 import math
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def rule_of_thumb_bandwidth(values):
@@ -238,15 +241,18 @@ def _std_normal_pdf(u):
     return f, -u * f
 
 
+def _std_normal_cdf(u):
+    """Phi(u) = erfc(-u/sqrt(2))/2, math.erfc elementwise; accurate in both tails."""
+    return 0.5 * np.asarray(_erfc(u * -_SQRT_HALF), dtype=float)
+
+
 def normal_family():
     """N(mu, sigma^2), both parameters free."""
-    from scipy.special import ndtr
-
     return ParametricFamily(
         tag="normal",
         param_names=("mu", "sigma"),
-        cdf=lambda x, prm: ndtr((np.asarray(x, dtype=float) - prm[0]) / prm[1]),
-        sf=lambda x, prm: ndtr((prm[0] - np.asarray(x, dtype=float)) / prm[1]),
+        cdf=lambda x, prm: _std_normal_cdf((np.asarray(x, dtype=float) - prm[0]) / prm[1]),
+        sf=lambda x, prm: _std_normal_cdf((prm[0] - np.asarray(x, dtype=float)) / prm[1]),
         pdf=lambda x, prm: np.exp(-0.5 * ((np.asarray(x, dtype=float) - prm[0]) / prm[1]) ** 2)
         / (prm[1] * _SQRT_2PI),
         init=lambda mu, var: np.array([mu, math.sqrt(max(var, 1e-12))]),

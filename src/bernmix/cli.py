@@ -302,12 +302,14 @@ def cmd_eval(args):
     cdf[inside] = model.cdf(xs[inside])
     for x in xs[~inside]:
         print(f"point {x!r} outside the support [{a}, {b}]", file=sys.stderr)
-    # "%.17g" of a finite float is _fmt's token; _fmt spells NaN and inf
-    finite = (np.isfinite(xs) & np.isfinite(dens) & np.isfinite(cdf)).tolist()
-    lines = ["x,density,cdf"]
-    for ok, row in zip(finite, zip(xs.tolist(), dens.tolist(), cdf.tolist())):
-        lines.append("%.17g,%.17g,%.17g" % row if ok else ",".join(map(_fmt, row)))
-    text = "\n".join(lines) + "\n"
+    # "%.17g" of a finite float is _fmt's token, so the finite rows take one
+    # "%" over a flat tuple; the rows with a NaN or inf are spelled by _fmt
+    rows = np.column_stack([xs, dens, cdf])
+    finite = np.isfinite(rows).all(axis=1)
+    lines = ["%.17g,%.17g,%.17g\n"] * len(rows)
+    for i in np.flatnonzero(~finite):
+        lines[i] = ",".join(map(_fmt, rows[i])) + "\n"
+    text = "x,density,cdf\n" + "".join(lines) % tuple(rows[finite].ravel().tolist())
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -8,15 +8,16 @@ as mixture draws).
 
 The truths of uniform01, exp1, pareto, normal01 and logistic are the
 baselines families their parametric MLE fits, at the true parameters
-(_FAMILY_LAWS), so normal01 loads scipy through normal_family.  Only the
-Irwin-Hall law of nn<k> (the mean of k uniforms) is written here.
+(_FAMILY_LAWS); the normal01 law is normal_family's, whose CDF is the
+standard library's erfc.  Only the Irwin-Hall law of nn<k> (the mean of
+k uniforms) is written here.
 
 Every mixture value here (the MBLE curve scored by the ISE, and f_m in
 the diagnostic) is BernsteinMixture.pdf, the matrix-free Horner sum of
 the Bernstein form; no basis matrix is built to evaluate a fitted curve.
 The ISE is composite Simpson's rule in numpy, one dot product with the
-grid's cached Simpson weights, so the harness's only scipy call is the
-ndtr of normal_family.
+grid's cached Simpson weights.  The harness loads numpy and the standard
+library only.
 
 Determinism contract: replicate r of a run with seed s uses the generator
 seeded by (s, r), and replicate results are reduced in replicate order,

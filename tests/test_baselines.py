@@ -324,6 +324,40 @@ class TestParametricMle:
         assert fit.cdf(4.0) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestNormalCdf:
+    # the normal CDF is the standard library's erfc; scipy's ndtr is the oracle
+    STD = np.array([0.0, 1.0])
+
+    def test_matches_ndtr_from_the_far_lower_tail_to_the_upper(self):
+        from scipy.special import ndtr
+
+        fam, x = normal_family(), np.linspace(-30.0, 8.0, 38_001)
+        np.testing.assert_allclose(fam.cdf(x, self.STD), ndtr(x), rtol=5e-14, atol=0.0)
+        np.testing.assert_allclose(fam.sf(x, self.STD), ndtr(-x), rtol=5e-14, atol=0.0)
+
+    def test_sf_is_the_cdf_reflected(self):
+        fam, x = normal_family(), np.linspace(-30.0, 30.0, 6001)
+        np.testing.assert_array_equal(fam.sf(x, self.STD), fam.cdf(-x, self.STD))
+
+    def test_keeps_the_shape_of_its_input(self):
+        fam = normal_family()
+        assert np.shape(fam.cdf(0.5, self.STD)) == ()
+        assert np.shape(fam.sf(np.array(0.5), self.STD)) == ()
+        x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+        for law in (fam.cdf, fam.sf):
+            out = law(x, self.STD)
+            assert out.shape == (3, 4) and out.dtype == np.float64
+            np.testing.assert_array_equal(out.ravel(), law(x.ravel(), self.STD))
+
+    def test_fitted_cdf_rises_from_zero_to_one(self):
+        g = GroupedSample(np.linspace(-4.0, 4.0, 9), [2, 9, 31, 58, 60, 29, 9, 2])
+        fit = parametric_mle_grouped(normal_family(), g)
+        assert fit.converged
+        cdf = fit.cdf(np.linspace(-4.0, 4.0, 20_001))
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.all(np.diff(cdf) >= 0.0)
+
+
 class TestFamilySupport:
     @pytest.mark.parametrize(
         "family, params, below",

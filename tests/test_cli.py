@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bernmix.em
 from bernmix import BernsteinMixture, SimplexWeights, beta_cdf
-from bernmix.cli import main, read_grouped_csv, read_model_json
+from bernmix.cli import _fmt, main, read_grouped_csv, read_model_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CHICKEN_CSV = ROOT / "data" / "chicken_embryo.csv"
@@ -302,6 +302,34 @@ class TestEval:
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, equal_nan=True)
         assert codes.count(4) == 3
         assert code == max(codes) == 4
+
+    def test_output_is_the_per_row_fmt_spelling(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        doc = {
+            "degree": 13,
+            "weights": [float(v) for v in rng.dirichlet(np.ones(14))],
+            "support": [0.0, 21.0],
+            "loglik": -1.0,
+            "converged": True,
+            "selection": None,
+        }
+        model_path = tmp_path / "m.json"
+        write(model_path, json.dumps(doc))
+        model = read_model_json(str(model_path))
+        points = ["-0", "3.7", "-1e-300", "nan", "21", "inf", "1e-310", "21.000000001", "-inf"]
+        cases = [
+            (["--grid", "2000"], np.linspace(0.0, 21.0, 2001)),
+            (["--points=" + ",".join(points)], np.array([float(v) for v in points])),
+        ]
+        for flags, xs in cases:
+            main(["eval", "--model", str(model_path)] + flags)
+            inside = (xs >= 0.0) & (xs <= 21.0)
+            dens, cdf = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
+            dens[inside], cdf[inside] = model.pdf(xs[inside]), model.cdf(xs[inside])
+            want = "x,density,cdf\n" + "".join(
+                ",".join(map(_fmt, row)) + "\n" for row in zip(xs, dens, cdf)
+            )
+            assert capsys.readouterr().out == want
 
 
 class TestSimulate:
