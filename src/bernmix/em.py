@@ -56,7 +56,9 @@ OUTPUT_WEIGHT_FLOOR = 1e-12
 # certified solver: stop at this gap (nats), or after this many outer steps
 GAP_TOL = 1e-8
 SQP_MAX_STEPS = 200
-# ridge added to the Hessian diagonal, as a share of its mean diagonal entry
+# ridge added to each Hessian diagonal entry, as a share of that entry (of
+# the mean entry where it is 0): a ridge scaled by the mean curvature swamps
+# the flat directions, and the solver then crawls there at ~1e-12 nats a step
 SQP_RIDGE = 1e-8
 # a bound entry whose QP gradient is above -QP_TOL stays at 0
 QP_TOL = 1e-14
@@ -249,9 +251,12 @@ def _sqp_weighted(a, w, p0):
     v = w / n, whose minimiser is the simplex maximiser of the loglik.
     Each outer step solves the Newton QP
     min 0.5 y'Hy + (grad f - Hx)'y, y >= 0, with H = A' diag(v/theta^2) A
-    plus a small ridge, starting the active-set loop from the previous
-    step's QP solution (from p0 at the first step): the ridge makes the
-    minimiser unique, so the start changes only the number of passes.
+    plus a ridge that scales each diagonal entry H_jj by 1 + SQP_RIDGE
+    (Marquardt's per-coordinate damping; a column of zero curvature gets
+    SQP_RIDGE times the mean entry instead), starting the active-set loop
+    from the previous step's QP solution (from p0 at the first step): the
+    ridge makes the minimiser unique, so the start changes only the number
+    of passes.
     It then backtracks along y - x until every row mass
     keeps more than ROW_MASS_SHARE of its current value and the Armijo
     condition holds.  It stops once n (max_j (A'(v/theta))_j sum x - 1),
@@ -283,7 +288,9 @@ def _sqp_weighted(a, w, p0):
         scaled = a * (root_v / theta)[:, None]
         h = scaled.T @ scaled
         diagonal = h.ravel()[:: k + 1]  # a view: h is a fresh C-ordered product
-        diagonal += SQP_RIDGE * diagonal.sum() / k
+        diagonal *= 1.0 + SQP_RIDGE
+        if not diagonal.all():  # zero curvature: the mean entry's ridge
+            diagonal[diagonal == 0.0] = SQP_RIDGE * diagonal.sum() / k
         y = _nonnegative_qp(h, grad - h @ x, y)
         d = y - x
         slope = grad @ d
@@ -307,14 +314,19 @@ def _sqp_weighted(a, w, p0):
     return _output_weights(x / total), steps, np.array(trace), converged, step_norm
 
 
-def _gap(mass_mat, row_weights, theta):
-    """n (max_j g_j - 1) at row masses theta = A p, g = A^T (w / theta) / n.
+def _gap(mass_mat, row_weights, p, theta):
+    """n (max_j g_j - 1) at simplex weights p with row masses theta = A p.
 
-    inf if a row has mass 0.
+    g = A^T (w / theta) / n.  On the simplex sum_j p_j g_j = 1, so the gap
+    is computed as sum_j p_j n (max_h g_h - g_j): a sum of nonnegative
+    terms, which stays >= 0 under rounding where n max_h g_h - n, a
+    difference of two numbers within an ulp of each other at the optimum,
+    does not.  inf if a row has mass 0.
     """
     if not (theta > 0.0).all():
         return float("inf")
-    return float((mass_mat.T @ (row_weights / theta)).max() - row_weights.sum())
+    u = mass_mat.T @ (row_weights / theta)
+    return float((u.max() - u) @ p)
 
 
 def _fit(problems, p0=None, config=None):
@@ -345,7 +357,7 @@ def _fit(problems, p0=None, config=None):
         iterations,
         trace,
         residual,
-        _gap(a, w, theta),
+        _gap(a, w, weights.p, theta),
         "converged" if converged else "max_iter",
         time.perf_counter() - start,
     )

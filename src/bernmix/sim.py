@@ -409,6 +409,21 @@ def _unit_gauss_legendre(nodes):
     return t, half
 
 
+def _bernstein_start(pdf, m):
+    """Weights p_j = pdf(j/m) / sum_h pdf(h/m) of B_m f, pdf's Bernstein polynomial.
+
+    None (the uniform start) when m < 1 or those values are not finite,
+    not nonnegative or all zero.
+    """
+    if m < 1:
+        return None
+    values = np.asarray(pdf(np.arange(m + 1) / m), dtype=float)
+    total = values.sum()
+    if not (np.isfinite(values).all() and (values >= 0.0).all() and total > 0.0):
+        return None
+    return values / total
+
+
 def best_mixture_approximation(pdf, m, nodes=512):
     """Weights of the degree-m mixture closest to a known density.
 
@@ -416,19 +431,24 @@ def best_mixture_approximation(pdf, m, nodes=512):
     Gauss-Legendre atoms of the truth, weighted by their quadrature
     masses, take the place of observations, and the certified solver of
     the degree scan (active-set SQP, em._sqp_weighted) maximises their
-    loglik from uniform weights.  Its line search keeps every atom's
-    mixture mass above a fixed share of its current value, so cold fits
-    of high degree converge; the result is deterministic and sits within
-    em.GAP_TOL nats of the optimum.  Used by the acceptance-rejection
-    diagnostic, where the envelope constant of the best approximation is
-    the quantity of interest.  Raises ValueError when the solver stops
-    at its step cap without that certificate.
+    loglik.  It starts from the weights of the Bernstein polynomial
+    B_m f = sum_j f(j/m) C(m, j) t^j (1-t)^(m-j), p_j proportional to
+    pdf(j/m), which already sit close to the projection (from uniform
+    weights when m < 1 or those values are not finite, not nonnegative or
+    all zero).  Its line search keeps every atom's mixture mass above a
+    fixed share of its current value, so fits of high degree converge;
+    the result is deterministic and sits within em.GAP_TOL nats of the
+    optimum (the weights are pinned down only to that tolerance, so
+    another start may return other weights of the same loglik).  Used by
+    the acceptance-rejection diagnostic, where the envelope constant of
+    the best approximation is the quantity of interest.  Raises ValueError
+    when the solver stops at its step cap without that certificate.
     """
     t, half = _unit_gauss_legendre(nodes)
     mass = half * np.asarray(pdf(t), dtype=float)
     if np.any(mass < 0.0):
         raise ValueError("pdf must be nonnegative on [0, 1]")
-    fit = _fit(_problems((t, mass), None, m))
+    fit = _fit(_problems((t, mass), None, m), _bernstein_start(pdf, m))
     if not fit.converged:
         raise ValueError(
             f"population fit at degree {m} stopped after {fit.iterations} steps "

@@ -21,8 +21,14 @@ from bernmix import (
     scenario_distribution,
 )
 from bernmix import em
-from bernmix.em import EmConfig, _iterate
-from bernmix.sim import SCENARIO_TAGS, best_mixture_approximation, true_unit_pdf
+from bernmix.em import EmConfig, _fit, _gap, _iterate
+from bernmix.likelihood import _loglik, _problems
+from bernmix.sim import (
+    SCENARIO_TAGS,
+    _unit_gauss_legendre,
+    best_mixture_approximation,
+    true_unit_pdf,
+)
 
 
 def spec_for(tag, n=1000, cells=10, replicates=3, seed=0):
@@ -327,6 +333,35 @@ class TestAcceptanceRejection:
             c_em, _ = acceptance_rejection_diag(f, em_weights, n=10, seed=7)
             c_sqp, _ = acceptance_rejection_diag(f, best_mixture_approximation(f, m), n=10, seed=7)
             assert c_sqp == pytest.approx(c_em, abs=1e-4)
+
+    @pytest.mark.parametrize("nodes", [256, 512])
+    @pytest.mark.parametrize("tag", SCENARIO_TAGS)
+    def test_population_fit_is_certified_on_every_truth(self, tag, nodes):
+        # with a Hessian ridge scaled by the mean curvature, nn4 crawled in
+        # its flat directions and stopped at the step cap for m >= 16
+        f = true_unit_pdf(spec_for(tag))
+        t, half = _unit_gauss_legendre(nodes)
+        for m in (4, 8, 16, 32, 64):
+            p = best_mixture_approximation(f, m, nodes=nodes).p
+            a, w = next(_problems((t, half * f(t)), None, m))
+            assert _gap(a, w, p, a @ p) <= em.GAP_TOL, m
+
+    def test_bernstein_start_moves_nothing_beyond_the_certificate(self):
+        # the start B_m f changes the solver's path, not the fit: the loglik
+        # agrees with the uniform start's within the two certificates, and
+        # so does c_m where the optimal weights are unique to 1e-6
+        f = true_unit_pdf(spec_for("normal01"))
+        t, half = _unit_gauss_legendre(512)
+        atoms = (t, half * f(t))
+        for m in (4, 8, 16, 32):
+            started = best_mixture_approximation(f, m)
+            uniform = _fit(_problems(atoms, None, m))
+            a, w = next(_problems(atoms, None, m))
+            assert abs(_loglik(a, w, started.p) - uniform.loglik) <= 2 * em.GAP_TOL, m
+            if m <= 16:
+                c_started, _ = acceptance_rejection_diag(f, started, n=10, seed=7)
+                c_uniform, _ = acceptance_rejection_diag(f, uniform.weights, n=10, seed=7)
+                assert abs(c_started - c_uniform) <= 1e-6, m
 
     def test_population_fit_at_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(em, "SQP_MAX_STEPS", 1)
