@@ -34,7 +34,7 @@ from .errors import DegenerateDataError, HarnessError, SelectionError
 from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
 from .model import BernsteinMixture, GroupedSample, SimplexWeights
 from .select import lower_bound_degree, select_degree
-from .sim import ScenarioSpec, mise
+from .sim import _ESTIMATORS, ScenarioSpec, mise
 from . import __version__
 
 EXIT_OK = 0
@@ -288,11 +288,13 @@ def cmd_fit(args):
 def cmd_eval(args):
     model = read_model_json(args.model)
     a, b = model.support
-    if args.points:
+    if args.points is not None:
         try:
             xs = np.array([float(v) for v in args.points.split(",")])
         except ValueError as exc:
             raise CliInputError(f"--points must be comma-separated numbers: {exc}")
+    elif args.grid < 1:
+        raise CliInputError(f"--grid must be at least 1, got {args.grid}")
     else:
         xs = np.linspace(a, b, args.grid + 1)
     inside = (xs >= a) & (xs <= b)
@@ -301,7 +303,7 @@ def cmd_eval(args):
     dens[inside] = model.pdf(xs[inside])
     cdf[inside] = model.cdf(xs[inside])
     for x in xs[~inside]:
-        print(f"point {x!r} outside the support [{a}, {b}]", file=sys.stderr)
+        print(f"point {float(x)!r} outside the support [{a}, {b}]", file=sys.stderr)
     # "%.17g" of a finite float is _fmt's token, so the finite rows take one
     # "%" over a flat tuple; the rows with a NaN or inf are spelled by _fmt
     rows = np.column_stack([xs, dens, cdf])
@@ -322,6 +324,9 @@ def cmd_simulate(args):
     estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     if not estimators:
         raise CliInputError("--estimators must name at least one estimator")
+    for est in estimators:
+        if est not in _ESTIMATORS:
+            raise CliInputError(f"--estimators: unknown estimator {est!r}")
     degrees = _parse_degrees(args.degrees) if args.degrees else None
     spec = ScenarioSpec(
         distribution=args.scenario,
@@ -415,9 +420,9 @@ def build_parser():
     return parser
 
 
-# options whose value may start with "-" (a negative support end, or a
-# degree range that the degree check then rejects)
-SIGNED_VALUE_OPTIONS = ("--support", "--degrees")
+# options whose value may start with "-" (a negative support end or
+# evaluation point, or a degree range that the degree check then rejects)
+SIGNED_VALUE_OPTIONS = ("--support", "--degrees", "--points")
 
 
 def _attach_signed_values(argv):

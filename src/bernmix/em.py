@@ -51,8 +51,6 @@ __all__ = [
     "em_step",
 ]
 
-OUTPUT_WEIGHT_FLOOR = 1e-12
-
 # certified solver: stop at this gap (nats), or after this many outer steps
 GAP_TOL = 1e-8
 SQP_MAX_STEPS = 200
@@ -105,10 +103,8 @@ class FitReport:
     iterations counts EM updates, or outer SQP steps for the certified
     fits (degree scan, population fit).  loglik_trace[s] is the loglik
     of the s-th iterate (index 0 is the init); for EM it is
-    nondecreasing.  residual is the max-norm change one extra EM update
-    would make to the returned weights, or the max-norm of the last SQP
-    step.  gap is n (max_j g_j - 1) at the returned weights, an upper
-    bound on how far loglik sits below the maximum.  stop_reason is
+    nondecreasing.  gap is n (max_j g_j - 1) at the returned weights, an
+    upper bound on how far loglik sits below the maximum.  stop_reason is
     "converged" (EM: the relative loglik change fell below tol; SQP: the
     gap reached GAP_TOL) or "max_iter"; converged says it is the former.
     elapsed_s is the wall time of the fit in seconds, from the
@@ -119,7 +115,6 @@ class FitReport:
     loglik: float
     iterations: int
     loglik_trace: np.ndarray
-    residual: float
     gap: float
     stop_reason: str
     elapsed_s: float
@@ -168,11 +163,6 @@ def _em_stepper(mass_mat, row_weights):
     return step
 
 
-def _output_weights(p):
-    out = np.where(p < OUTPUT_WEIGHT_FLOOR, 0.0, p)
-    return SimplexWeights(out / out.sum())
-
-
 def _iterate(p0, mass_mat, row_weights, config):
     step = _em_stepper(mass_mat, row_weights)
     # two buffers that trade places each step: p is the iterate, p_next
@@ -192,8 +182,7 @@ def _iterate(p0, mass_mat, row_weights, config):
         ll = ll_new
         if converged:
             break
-    residual = float(np.max(np.abs(p - p_next)))
-    return _output_weights(p), iterations, np.array(trace), converged, residual
+    return SimplexWeights(p), iterations, np.array(trace), converged
 
 
 def _resolve_init(config, m):
@@ -259,9 +248,10 @@ def _sqp_weighted(a, w, p0):
     of passes.
     It then backtracks along y - x until every row mass
     keeps more than ROW_MASS_SHARE of its current value and the Armijo
-    condition holds.  It stops once n (max_j (A'(v/theta))_j sum x - 1),
-    the gap at x / sum x, is at most GAP_TOL.  Returns the _iterate
-    tuple; iterations counts outer steps.
+    condition holds.  It stops once n sum_j x_j (max_h u_h - u_j), with
+    u = A'(v/theta), is at most GAP_TOL: the gap _gap reports at the
+    returned weights x / sum x, since the gap is scale-invariant in x.
+    Returns the _iterate tuple; iterations counts outer steps.
     """
     n = w.sum()
     v = w / n
@@ -274,11 +264,11 @@ def _sqp_weighted(a, w, p0):
     f = total - v_log
     y = x
     trace = array("d")
-    converged, step_norm, steps = False, 0.0, 0
+    converged, steps = False, 0
     while True:
         u = a.T @ (v / theta)
         trace.append(n * (v_log - math.log(total)))
-        if n * (total * u.max() - 1.0) <= GAP_TOL:
+        if n * float((u.max() - u) @ x) <= GAP_TOL:
             converged = True
             break
         if steps == SQP_MAX_STEPS:
@@ -309,9 +299,8 @@ def _sqp_weighted(a, w, p0):
                 if f_new <= f + ARMIJO * alpha * slope + rounding:
                     break
             alpha *= 0.5
-        step_norm = alpha * float(abs(d).max())
         x, theta, total, v_log, f = x_new, theta_new, total_new, v_log_new, f_new
-    return _output_weights(x / total), steps, np.array(trace), converged, step_norm
+    return SimplexWeights(x / total), steps, np.array(trace), converged
 
 
 def _gap(mass_mat, row_weights, p, theta):
@@ -349,14 +338,13 @@ def _fit(problems, p0=None, config=None):
         solved = _sqp_weighted(a, w, p0)
     else:
         solved = _iterate(p0, a, w, config)
-    weights, iterations, trace, converged, residual = solved
+    weights, iterations, trace, converged = solved
     theta = a @ weights.p
     return FitReport(
         weights,
         _row_loglik(theta, w),
         iterations,
         trace,
-        residual,
         _gap(a, w, weights.p, theta),
         "converged" if converged else "max_iter",
         time.perf_counter() - start,

@@ -292,27 +292,23 @@ def test_c10_change_point_selector():
     report(10, f"synthetic tau {tau}, tie case returns smallest ({tau_tie})")
 
 
-def test_c11_chicken_embryo_degree_13():
+def test_c11_chicken_embryo_degree_13(tmp_path):
     if not CHICKEN_CSV.exists():
         pytest.skip(
             "chicken-embryo CSV not present at data/chicken_embryo.csv; "
             "see README for the entry instructions"
         )
-    out = CHICKEN_CSV.parent.parent / "chicken_model.json"
-    try:
-        code = bm.cli.main(
-            [
-                "fit", "--grouped", str(CHICKEN_CSV), "--support", "0,21",
-                "--select", "--degrees", "2..50", "--out", str(out),
-            ]
-        )
-        assert code == 0
-        import json
+    out = tmp_path / "chicken_model.json"
+    code = bm.cli.main(
+        [
+            "fit", "--grouped", str(CHICKEN_CSV), "--support", "0,21",
+            "--select", "--degrees", "2..50", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    import json
 
-        doc = json.loads(out.read_text())
-        assert doc["selection"]["m_hat"] == 13
-        assert doc["degree"] == 13
-    finally:
-        if out.exists():
-            out.unlink()
+    doc = json.loads(out.read_text())
+    assert doc["selection"]["m_hat"] == 13
+    assert doc["degree"] == 13
     report(11, "chicken-embryo selection over 2..50 returns degree 13")

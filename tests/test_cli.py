@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernmix.em
+import bernmix.sim
 from bernmix import BernsteinMixture, SimplexWeights, beta_cdf
 from bernmix.cli import _fmt, main, read_grouped_csv, read_model_json
 
@@ -251,7 +252,7 @@ class TestEval:
         model = self.make_model(tmp_path)
         assert main(["eval", "--model", str(model), "--points", "1.0,9.5"]) == 4
         captured = capsys.readouterr()
-        assert "outside" in captured.err
+        assert captured.err.startswith("point 9.5 outside the support")
         assert "NaN,NaN" in captured.out
 
     def test_rows_match_library_bit_for_bit(self, tmp_path):
@@ -389,11 +390,21 @@ class TestSimulate:
             "the change point may sit at the left edge"
         ]
 
-    def test_unknown_scenario_is_input_error(self, tmp_path):
+    def test_unknown_scenario_is_input_error(self, tmp_path, monkeypatch):
         assert main([
             "simulate", "--scenario", "cauchy", "--n", "10", "--cells", "2",
             "--replicates", "1", "--out", str(tmp_path / "x.csv"),
         ]) == 2
+        # an unknown estimator after a valid one stops before any MBLE scan
+        scans = []
+        monkeypatch.setattr(bernmix.sim, "select_degree", lambda *a, **k: scans.append(a))
+        assert main([
+            "simulate", "--scenario", "exp1", "--n", "100", "--cells", "10",
+            "--replicates", "20", "--estimators", "mble,bogus",
+            "--out", str(tmp_path / "y.csv"),
+        ]) == 2
+        assert scans == []
+        assert not (tmp_path / "y.csv").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -535,18 +546,37 @@ DEGREE_FLAGS = st.one_of(
     ),
 )
 
+# an empty list, points outside the model's support [0, 1] and grids below 1
+EVAL_FLAGS = st.one_of(
+    st.tuples(
+        st.just("--points"),
+        st.sampled_from(["", "0", "-1", "0.5", "0,0.25,1", "-0.5,0.5", "1.5", "nan", "a", "0,,1"]),
+    ),
+    st.tuples(st.just("--grid"), st.sampled_from(["0", "-1", "-7", "1", "8", "x"])),
+)
+# an empty point list and grids below 1: input errors
+BAD_EVAL_FLAGS = (("--points", ""), ("--grid", "0"), ("--grid", "-1"), ("--grid", "-7"))
+EVAL_MODEL = (
+    '{"degree": 2, "weights": [0.25, 0.5, 0.25], "support": [0, 1], '
+    '"loglik": 0, "converged": true, "selection": null}\n'
+)
+
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(
-    command=st.sampled_from(["fit-grouped", "fit-raw", "lower-bound"]),
+    command=st.sampled_from(["fit-grouped", "fit-raw", "lower-bound", "eval"]),
     csv_text=grouped_csvs(),
     raw_text=raw_files(),
     support=SUPPORTS,
     degree=DEGREE_FLAGS,
     rounded=st.one_of(st.none(), st.integers(-1, 4)),
+    eval_flag=EVAL_FLAGS,
 )
-def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, support, degree, rounded):
-    # README: 0 ok, 2 input error, 3 fit did not converge; never a traceback
+def test_every_exit_code_follows_the_contract(
+    command, csv_text, raw_text, support, degree, rounded, eval_flag
+):
+    # README: 0 ok, 2 input error, 3 fit did not converge, 4 eval points
+    # outside the support; never a traceback
     with tempfile.TemporaryDirectory() as tmp:
         grouped, raw, out = (os.path.join(tmp, name) for name in ("g.csv", "raw.txt", "m.json"))
         write(Path(grouped), csv_text)
@@ -554,6 +584,10 @@ def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, suppo
         support_flag = [] if support is None else ["--support", support]
         if command == "lower-bound":
             argv = ["lower-bound", "--grouped", grouped, *support_flag]
+        elif command == "eval":
+            model = os.path.join(tmp, "model.json")
+            write(Path(model), EVAL_MODEL)
+            argv = ["eval", "--model", model, *eval_flag, "--out", out]
         else:
             data = ["--grouped", grouped] if command == "fit-grouped" else ["--raw", raw]
             if rounded is not None and command == "fit-raw":
@@ -565,14 +599,19 @@ def test_every_exit_code_follows_the_contract(command, csv_text, raw_text, suppo
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the flags
                 code = exc.code
-        allowed = {0, 2} if command == "lower-bound" else {0, 2, 3}
+        allowed = {"lower-bound": {0, 2}, "eval": {0, 2, 4}}.get(command, {0, 2, 3})
         assert code in allowed, (argv, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
-        # "--support -1,1" and "--degrees -1..3" reach the program's own checks
+        # "--support -1,1", "--degrees -1..3" and "--points -0.5,0.5" reach
+        # the program's own checks
         assert "expected one argument" not in stderr.getvalue(), argv
+        if command == "eval" and eval_flag in BAD_EVAL_FLAGS:
+            assert code == 2, argv
         if command == "fit-raw" and rounded is not None and rounded < 1:
             assert code == 2, argv  # a grid density K must be positive
         if code == 2:
             assert stderr.getvalue(), argv
-        if command != "lower-bound":
+        if command == "eval":
+            assert os.path.exists(out) == (code in (0, 4)), argv
+        elif command != "lower-bound":
             assert os.path.exists(out) == (code in (0, 3)), argv

@@ -338,13 +338,20 @@ class TestAcceptanceRejection:
     @pytest.mark.parametrize("tag", SCENARIO_TAGS)
     def test_population_fit_is_certified_on_every_truth(self, tag, nodes):
         # with a Hessian ridge scaled by the mean curvature, nn4 crawled in
-        # its flat directions and stopped at the step cap for m >= 16
+        # its flat directions and stopped at the step cap for m >= 16.  The
+        # uniform-start fit is checked too: from there nn4 at m = 64 ends
+        # with weights near 1e-12 that carry rows of mass near 1e-19, so
+        # its gap moves above GAP_TOL if the returned weights are not the
+        # ones the solver certified
         f = true_unit_pdf(spec_for(tag))
         t, half = _unit_gauss_legendre(nodes)
+        atoms = (t, half * f(t))
         for m in (4, 8, 16, 32, 64):
-            p = best_mixture_approximation(f, m, nodes=nodes).p
-            a, w = next(_problems((t, half * f(t)), None, m))
-            assert _gap(a, w, p, a @ p) <= em.GAP_TOL, m
+            uniform = _fit(_problems(atoms, None, m))
+            assert uniform.converged, (m, uniform.gap)
+            a, w = next(_problems(atoms, None, m))
+            for p in (best_mixture_approximation(f, m, nodes=nodes).p, uniform.weights.p):
+                assert _gap(a, w, p, a @ p) <= em.GAP_TOL, m
 
     def test_bernstein_start_moves_nothing_beyond_the_certificate(self):
         # the start B_m f changes the solver's path, not the fit: the loglik
