@@ -78,7 +78,8 @@ def _bernstein_sum(c, t):
     unless C(n,k) nears the float range (n above 870); it goes back
     in through the exponent of the power factor.  The ends are exact (c_0
     at t = 0, c_n at t = 1), and each value depends on its own point
-    alone, so it is the same float alone or in any batch.  Raises
+    alone, so it is the same float alone or in any batch; a half of
+    [0, 1] that holds no points skips its Horner pass.  Raises
     ValueError for n above 1881, where no shift keeps every factor finite.
     """
     c = np.asarray(c, dtype=float)
@@ -92,8 +93,10 @@ def _bernstein_sum(c, t):
     out = np.empty(t.shape)
     low = t <= 0.5
     tl, th = t[low], t[~low]
-    out[low] = _horner(b[::-1], tl / (1.0 - tl)) * np.exp(n * np.log1p(-tl) + shift)
-    out[~low] = _horner(b, (1.0 - th) / th) * np.exp(n * np.log(th) + shift)
+    if tl.size:
+        out[low] = _horner(b[::-1], tl / (1.0 - tl)) * np.exp(n * np.log1p(-tl) + shift)
+    if th.size:
+        out[~low] = _horner(b, (1.0 - th) / th) * np.exp(n * np.log(th) + shift)
     out[t == 0.0] = c[0]
     out[t == 1.0] = c[n]
     return out

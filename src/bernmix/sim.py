@@ -346,10 +346,14 @@ def mise(spec, estimator, points=2001):
     scale-invariant and needs no conversion.  Replicate fit failures
     (ValueError, SelectionError, FloatingPointError) are skipped and
     counted; more than 5% of them aborts the run.  Any other exception
-    propagates.
+    propagates.  An unknown estimator or a grid of fewer than 2 points
+    (which has no width to integrate over) raises ValueError before any
+    replicate runs.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
+    if points < 2:
+        raise ValueError(f"points must be at least 2, got {points}")
     grid = np.linspace(0.0, 1.0, points)
     f_true = true_unit_pdf(spec)(grid)
     a, b = spec.resolved_truncation()
@@ -457,16 +461,11 @@ def best_mixture_approximation(pdf, m, nodes=512):
     return fit.weights
 
 
-def _inverse_cdf_sampler(pdf, grid_points=4001):
-    grid = np.linspace(0.0, 1.0, grid_points)
-    f = np.asarray(pdf(grid), dtype=float)
+def _inverse_cdf_sampler(grid, f, q):
+    """Draws at the uniforms q from the inverse trapezoid CDF of f's values on grid."""
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))))
     cdf /= cdf[-1]
-
-    def draw(rng, size):
-        return np.interp(rng.uniform(size=size), cdf, grid)
-
-    return draw
+    return np.interp(q, cdf, grid)
 
 
 def acceptance_rejection_diag(true_pdf, weights, n, seed):
@@ -478,11 +477,20 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
     point's neighbours, and the search stops once the bracket is at most
     1e-12 wide (about 8 vector evaluations); c_m is the largest ratio
     seen.  A draw x from f is accepted as an f_m draw when
-    u <= f_m(x)/(c_m f(x)), the draws coming from a gridded inverse CDF of
-    the truth.  Every f_m value is BernsteinMixture(weights).pdf, so a
-    truth that is that same pdf gives c_m = 1 and accepts every draw.
-    Returns (c_m, accepted fraction).
+    u <= f_m(x)/(c_m f(x)), the draws coming from the trapezoid inverse
+    CDF of the truth's values on the same grid (so the truth is evaluated
+    there once).  The generator seeded by seed gives n inverse-CDF
+    uniforms, then the n uniforms u; the pairs are evaluated in ascending
+    order of the first uniform, which lets the table lookups run in one
+    sweep and leaves the fraction equal to that of the unsorted pairs,
+    since every value depends on its own point alone.  Every f_m value is
+    BernsteinMixture(weights).pdf, so a truth that is that same pdf gives
+    c_m = 1 and accepts every draw.  Returns (c_m, accepted fraction).
+    Raises ValueError unless n is an integer of at least 1, before any
+    evaluation.
     """
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     fm = BernsteinMixture(weights).pdf
     grid = np.linspace(0.0, 1.0, 4001)
     f = np.asarray(true_pdf(grid), dtype=float)
@@ -500,8 +508,10 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
         lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
 
     rng = np.random.default_rng(seed)
-    x = _inverse_cdf_sampler(true_pdf)(rng, n)
+    q = rng.uniform(size=n)
     u = rng.uniform(size=n)
+    order = np.argsort(q)
+    x = _inverse_cdf_sampler(grid, f, q[order])
     fx = np.asarray(true_pdf(x), dtype=float)
-    kept = float(np.mean(u <= fm(x) / (c_m * fx)))
+    kept = float(np.mean(u[order] <= fm(x) / (c_m * fx)))
     return c_m, kept

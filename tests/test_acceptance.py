@@ -250,11 +250,13 @@ def test_c07_uniqueness_across_inits():
 def test_c08_acceptance_rejection_diagnostic():
     f = true_unit_pdf(bm.ScenarioSpec("normal01", n=1, n_cells=1))
     cs, kepts = [], []
+    t0 = time.time()
     for m in (4, 8, 16, 32):
         weights = best_mixture_approximation(f, m, nodes=512)
         c, kept = bm.acceptance_rejection_diag(f, weights, n=10_000, seed=808)
         cs.append(c)
         kepts.append(kept)
+    elapsed = time.time() - t0
     mc_tol = 0.005
     assert all(cs[i + 1] <= cs[i] + mc_tol for i in range(3))
     assert all(kepts[i + 1] >= kepts[i] - mc_tol for i in range(3))
@@ -263,7 +265,8 @@ def test_c08_acceptance_rejection_diagnostic():
     report(
         8,
         "c_m " + "->".join(f"{c:.4f}" for c in cs)
-        + ", kept " + "->".join(f"{k:.4f}" for k in kepts),
+        + ", kept " + "->".join(f"{k:.4f}" for k in kepts)
+        + f", {elapsed:.3f}s",
     )
 
 

@@ -184,6 +184,11 @@ class TestBernsteinSum:
         order = rng.permutation(t.size)
         assert np.array_equal(_bernstein_sum(c, t[order]), batch[order])
         assert np.array_equal(_bernstein_sum(c, t[::7]), batch[::7])
+        # batches that leave one half of [0, 1] empty, and the empty batch
+        for part in (t <= 0.5, t > 0.5):
+            assert np.array_equal(_bernstein_sum(c, t[part]), batch[part])
+        assert _bernstein_sum(c, np.array([0.5])).tolist() == batch[t == 0.5].tolist()
+        assert _bernstein_sum(c, np.empty(0)).shape == (0,)
 
 
 class TestDegreeElevate:

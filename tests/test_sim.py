@@ -239,6 +239,19 @@ class TestMise:
         with pytest.raises(ValueError):
             mise(spec_for("exp1"), "magic")
 
+    @pytest.mark.parametrize("points", [1, 0, -5])
+    def test_grid_of_fewer_than_two_points_rejected(self, points, monkeypatch):
+        # one point gives a zero-width Simpson rule and a MISE of 0.0 for
+        # every estimator; the check runs before any replicate is drawn
+        import bernmix.sim
+
+        def no_replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(bernmix.sim, "generate", no_replicate)
+        with pytest.raises(ValueError, match="points must be at least 2"):
+            mise(spec_for("exp1"), "kernel", points=points)
+
     def test_mble_beats_kernel_on_logistic(self):
         # the companion normal01 ordering runs in the acceptance suite
         spec = ScenarioSpec(
@@ -375,6 +388,50 @@ class TestAcceptanceRejection:
         f = true_unit_pdf(spec_for("normal01"))
         with pytest.raises(ValueError, match=r"degree 16 stopped after 1 steps with gap"):
             best_mixture_approximation(f, 16)
+
+    @pytest.mark.parametrize("n", [1, 7, 10_000])
+    @pytest.mark.parametrize("m", [4, 16, 32])
+    def test_sorted_pairs_keep_the_unsorted_estimate(self, m, n):
+        # oracle: the draw order before the pairs were sorted, x from the
+        # first n uniforms and u from the next n, evaluated as drawn
+        f = true_unit_pdf(spec_for("normal01"))
+        w = best_mixture_approximation(f, m)
+        fm = BernsteinMixture(w).pdf
+        grid = np.linspace(0.0, 1.0, 4001)
+        fg = f(grid)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (fg[1:] + fg[:-1]) * np.diff(grid))))
+        cdf /= cdf[-1]
+        for seed in (0, 5, 808, 2024):
+            c, kept = acceptance_rejection_diag(f, w, n=n, seed=seed)
+            rng = np.random.default_rng(seed)
+            x = np.interp(rng.uniform(size=n), cdf, grid)
+            u = rng.uniform(size=n)
+            assert kept == float(np.mean(u <= fm(x) / (c * f(x)))), seed
+
+    def test_truth_is_evaluated_once_on_the_grid(self):
+        f = true_unit_pdf(spec_for("normal01"))
+        grid = np.linspace(0.0, 1.0, 4001)
+        calls = []
+
+        def recorded(t):
+            calls.append(np.array(t, dtype=float))
+            return f(t)
+
+        acceptance_rejection_diag(recorded, best_mixture_approximation(f, 8), n=500, seed=2)
+        assert sum(np.array_equal(t, grid) for t in calls) == 1
+
+    @pytest.mark.parametrize("n", [0, -3, 2.5, "10"])
+    def test_draw_count_must_be_a_positive_integer(self, n):
+        calls = []
+
+        def recorded(t):
+            calls.append(t)
+            return np.ones_like(np.asarray(t, float))
+
+        w = SimplexWeights(np.array([0.6, 0.4]))
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            acceptance_rejection_diag(recorded, w, n=n, seed=1)
+        assert calls == []
 
     def test_nonpositive_truth_rejected(self):
         w = SimplexWeights(np.array([1.0]))
