@@ -26,6 +26,19 @@ __all__ = [
 ]
 
 
+def _check_degree(m):
+    """ValueError unless 0 <= m <= 1881, the degrees _bernstein_sum evaluates.
+
+    Past 1881 the Horner shift log C(m, m//2) - _LOG_COEF_CAP exceeds 700,
+    where exp(-shift) underflows or exp(shift) overflows.  Cheap at any m:
+    it builds nothing, so a fit checks its degree before its matrices.
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+    if m > 1881:
+        raise ValueError(f"degree {m} is above the evaluator's range (1881)")
+
+
 def _check_index(m, j):
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
@@ -80,15 +93,15 @@ def _bernstein_sum(c, t):
     at t = 0, c_n at t = 1), and each value depends on its own point
     alone, so it is the same float alone or in any batch; a half of
     [0, 1] that holds no points skips its Horner pass.  Raises
-    ValueError for n above 1881, where no shift keeps every factor finite.
+    ValueError for n above 1881, where no shift keeps every factor finite
+    (_check_degree), before the binomials are built.
     """
     c = np.asarray(c, dtype=float)
     t = np.asarray(t, dtype=float)
     n = c.size - 1
+    _check_degree(n)
     log_binom = _log_binomials(n)
     shift = max(0.0, float(log_binom[n // 2]) - _LOG_COEF_CAP)
-    if shift > _MAX_SHIFT:
-        raise ValueError(f"degree {n} is above the evaluator's range (1881)")
     b = c * np.exp(log_binom - shift)
     out = np.empty(t.shape)
     low = t <= 0.5

@@ -29,6 +29,7 @@ import warnings
 
 import numpy as np
 
+from .basis import _check_degree
 from .em import _fit
 from .errors import DegenerateDataError, HarnessError, SelectionError
 from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
@@ -182,6 +183,7 @@ def _parse_degrees(text):
         raise CliInputError(f"--degrees must be 'm0..mk', got {text!r}") from exc
     if hi - lo < 2 or lo < 0:
         raise CliInputError("--degrees needs at least three nonnegative degrees")
+    _check_degree(hi)  # before fit reads its data or simulate draws a sample
     return tuple(range(lo, hi + 1))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix, cdf_matrix
+from .basis import _check_degree, basis_matrix, cdf_matrix
 from .model import (
     GroupedSample,
     _checked_support,
@@ -116,6 +116,9 @@ def _problems(data, support, m):
     cells, weighted by their counts) or a pair (unit-scale quadrature
     atoms, their masses) of a known density (rows: basis densities at the
     atoms).  Rows of weight 0 carry nothing and are dropped here, once.
+    Each degree is checked (basis._check_degree: 0 to 1881) before its
+    matrix is built, and atom masses that are not finite, are negative or
+    are all 0 raise ValueError, so no solver sees a NaN objective.
 
     Degree m is built from the closed forms of basis; every later degree
     comes from the one before by the binomial recurrence
@@ -126,6 +129,7 @@ def _problems(data, support, m):
     masses).  Each new degree is a convex combination of the last, so
     only that one is kept and no exp or log is taken after degree m.
     """
+    _check_degree(m)
     if isinstance(data, GroupedSample):
         if data.n < 1:
             raise ValueError("need a positive total count")
@@ -145,7 +149,13 @@ def _problems(data, support, m):
             t, w = data.unit_values(), np.ones(data.n)
         else:
             atoms, masses = data
+            if not np.isfinite(masses).all():
+                raise ValueError("atom masses must be finite")
+            if (masses < 0.0).any():
+                raise ValueError("atom masses must be nonnegative")
             pos = masses > 0
+            if not pos.any():
+                raise ValueError("need a positive atom mass")
             t, w = atoms[pos], masses[pos]
         dens, below = basis_matrix(m, t), 0.0
 
@@ -158,6 +168,7 @@ def _problems(data, support, m):
     first = below * t  # t b_{m,-1}(t), the same at every degree
     while True:
         m += 1
+        _check_degree(m)
         nxt = np.empty((t.size, m + 1))
         np.multiply(table, t, out=nxt[:, 1:])
         nxt[:, :1] = first

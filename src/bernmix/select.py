@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import degree_elevate
+from .basis import _check_degree, degree_elevate
 from .em import _fit
 from .errors import DegenerateDataError, SelectionError
 from .likelihood import RawSample, _problems
@@ -171,7 +171,8 @@ def select_degree(data, support=None, degrees=None):
         Grouped data need an explicit support; raw data carry their own,
         and a support that differs from it raises ValueError.
     degrees : sequence of int, optional
-        Consecutive degrees m_0..m_0+k with k >= 2.  Default is the
+        Consecutive degrees m_0..m_0+k with k >= 2, none above 1881 (the
+        evaluator's range; checked before the first fit).  Default is the
         moment lower bound minus 5 (floored at 1) through bound plus 30.
 
     Returns
@@ -201,6 +202,7 @@ def select_degree(data, support=None, degrees=None):
         raise ValueError("degrees must be consecutive integers")
     if degrees[0] < 0:
         raise ValueError("degrees must be nonnegative")
+    _check_degree(int(degrees[-1]))  # the whole range, before the first fit
     if degrees[0] >= bound:
         warnings.warn(
             f"first degree {degrees[0]} is not below the estimated lower "

@@ -32,7 +32,7 @@ from math import comb, factorial
 import numpy as np
 
 from . import baselines
-from .em import _fit
+from .em import _fit, em_step
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample, _problems
 from .model import BernsteinMixture, GroupedSample, _checked_support
@@ -435,24 +435,31 @@ def best_mixture_approximation(pdf, m, nodes=512):
     Gauss-Legendre atoms of the truth, weighted by their quadrature
     masses, take the place of observations, and the certified solver of
     the degree scan (active-set SQP, em._sqp_weighted) maximises their
-    loglik.  It starts from the weights of the Bernstein polynomial
+    loglik.  The problem is built once, by likelihood._problems, which
+    raises ValueError before any fit for a degree outside 0..1881 or
+    atom masses that are not finite, are negative or are all 0.  The
+    solver starts from E(B_m f): one EM step (em.em_step, the
+    Richardson-Lucy update whose fixed point is the projection) from the
+    weights of the Bernstein polynomial
     B_m f = sum_j f(j/m) C(m, j) t^j (1-t)^(m-j), p_j proportional to
-    pdf(j/m), which already sit close to the projection (from uniform
-    weights when m < 1 or those values are not finite, not nonnegative or
-    all zero).  Its line search keeps every atom's mixture mass above a
-    fixed share of its current value, so fits of high degree converge;
-    the result is deterministic and sits within em.GAP_TOL nats of the
-    optimum (the weights are pinned down only to that tolerance, so
-    another start may return other weights of the same loglik).  Used by
-    the acceptance-rejection diagnostic, where the envelope constant of
-    the best approximation is the quantity of interest.  Raises ValueError
+    pdf(j/m).  B_m f is over-smoothed and the step sharpens it, so the
+    first Newton QP keeps more of its free set (from uniform weights when
+    m < 1 or those values are not finite, not nonnegative or all zero).
+    Its line search keeps every atom's mixture mass above a fixed share
+    of its current value, so fits of high degree converge; the result is
+    deterministic and sits within em.GAP_TOL nats of the optimum (the
+    weights are pinned down only to that tolerance, so another start may
+    return other weights of the same loglik).  Used by the
+    acceptance-rejection diagnostic, where the envelope constant of the
+    best approximation is the quantity of interest.  Raises ValueError
     when the solver stops at its step cap without that certificate.
     """
     t, half = _unit_gauss_legendre(nodes)
-    mass = half * np.asarray(pdf(t), dtype=float)
-    if np.any(mass < 0.0):
-        raise ValueError("pdf must be nonnegative on [0, 1]")
-    fit = _fit(_problems((t, mass), None, m), _bernstein_start(pdf, m))
+    problem = next(_problems((t, half * np.asarray(pdf(t), dtype=float)), None, m))
+    start = _bernstein_start(pdf, m)
+    if start is not None:
+        start = em_step(start, *problem)[0]
+    fit = _fit(iter((problem,)), start)
     if not fit.converged:
         raise ValueError(
             f"population fit at degree {m} stopped after {fit.iterations} steps "
@@ -472,10 +479,11 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
     """Envelope constant and acceptance fraction of a mixture against the truth.
 
     c_m = sup_t f_m(t)/f(t) is located on a 4001-point grid and refined
-    by a bracket search: the ratio is evaluated at 33 points across the
+    by a bracket search: the ratio is evaluated at 513 points across the
     bracket around the current maximiser, the bracket moves to that
-    point's neighbours, and the search stops once the bracket is at most
-    1e-12 wide (about 8 vector evaluations); c_m is the largest ratio
+    point's neighbours (256 times narrower), and the search stops once
+    the bracket is at most 1e-12 wide (4 vector evaluations, whose cost
+    is their calls more than their points); c_m is the largest ratio
     seen.  A draw x from f is accepted as an f_m draw when
     u <= f_m(x)/(c_m f(x)), the draws coming from the trapezoid inverse
     CDF of the truth's values on the same grid (so the truth is evaluated
@@ -487,21 +495,22 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
     BernsteinMixture(weights).pdf, so a truth that is that same pdf gives
     c_m = 1 and accepts every draw.  Returns (c_m, accepted fraction).
     Raises ValueError unless n is an integer of at least 1, before any
-    evaluation.
+    evaluation, and unless the truth is finite and strictly positive on
+    the grid, before any draw.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer of at least 1, got {n!r}")
     fm = BernsteinMixture(weights).pdf
     grid = np.linspace(0.0, 1.0, 4001)
     f = np.asarray(true_pdf(grid), dtype=float)
-    if np.any(f <= 0.0):
-        raise ValueError("true density must be strictly positive on [0, 1]")
+    if not (np.isfinite(f).all() and (f > 0.0).all()):
+        raise ValueError("true density must be finite and strictly positive on [0, 1]")
     ratios = fm(grid) / f
     i = int(np.argmax(ratios))
     c_m = float(ratios[i])
     lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
     while hi - lo > 1e-12:
-        t = np.linspace(lo, hi, 33)
+        t = np.linspace(lo, hi, 513)
         ratios = fm(t) / np.asarray(true_pdf(t), dtype=float)
         i = int(np.argmax(ratios))
         c_m = max(c_m, float(ratios[i]))

@@ -156,9 +156,10 @@ class TestBernsteinSum:
             exact = float(exact_bernstein_sum(c, t))
             assert abs(value - exact) <= bound * exact, (t, value, exact)
 
-    @pytest.mark.parametrize("m", [1100, 1500])
+    @pytest.mark.parametrize("m", [1100, 1500, 1881])
     def test_past_the_binomial_overflow_matches_the_basis_matrix(self, m):
-        # C(m, k) itself overflows a float past m of about 1030
+        # C(m, k) itself overflows a float past m of about 1030; 1881 is the
+        # last degree the evaluator covers
         p = np.random.default_rng(m).dirichlet(np.ones(m + 1))
         t = np.concatenate((np.linspace(0.0, 1.0, 1001), [1e-6, 0.4999, 0.5001, 1.0 - 1e-6]))
         vals = (m + 1) * _bernstein_sum(p, t)

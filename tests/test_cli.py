@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bernmix.em
+import bernmix.likelihood
 import bernmix.sim
 from bernmix import BernsteinMixture, SimplexWeights, beta_cdf
 from bernmix.cli import _fmt, main, read_grouped_csv, read_model_json
@@ -223,6 +224,26 @@ class TestFit:
             assert "degree must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "degree",
+        [["--degree", "1882"], ["--degree", "100000"], ["--select", "--degrees", "2..1882"],
+         ["--select", "--degrees", "0..100000"]],
+    )
+    def test_degree_past_the_evaluator_is_input_error(self, tmp_path, capsys, monkeypatch, degree):
+        # --degree 100000 ended in numpy's _ArrayMemoryError traceback
+        # while allocating a 74.5 GiB Hessian
+        raw = tmp_path / "raw.txt"
+        write(raw, "0.2\n0.5\n0.7\n")
+        out = tmp_path / "m.json"
+
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(bernmix.likelihood, "basis_matrix", no_matrix)
+        assert main(["fit", "--raw", str(raw), "--support", "0,1", *degree, "--out", str(out)]) == 2
+        assert "above the evaluator's range (1881)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def make_model(self, tmp_path, support=(0.0, 4.0)):
@@ -422,6 +443,20 @@ class TestSimulate:
         assert "must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_degree_past_the_evaluator_is_input_error(self, tmp_path, capsys, monkeypatch):
+        scans = []
+        monkeypatch.setattr(bernmix.sim, "select_degree", lambda *a, **k: scans.append(a))
+        out = tmp_path / "x.csv"
+        code = main([
+            "simulate", "--scenario", "exp1", "--n", "100", "--cells", "10",
+            "--replicates", "3", "--estimators", "mble", "--degrees", "1..1882",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "degree 1882 is above" in capsys.readouterr().err
+        assert scans == []
+        assert not out.exists()
+
     def test_harness_failure_exit_code(self, tmp_path, capsys):
         code = main([
             "simulate", "--scenario", "uniform01", "--n", "1", "--cells", "5",
@@ -535,13 +570,18 @@ SUPPORTS = st.sampled_from(
     ["0,1"] * 10 + [None, "0,2", "-1,1", "0,0", "1,0", "0,inf", "nan,1", "0", "a,b", "0,1,2"]
 )
 DEGREE_FLAGS = st.one_of(
-    st.tuples(st.just("--degree"), st.sampled_from(["2", "-1", "0", "1", "3", "5", "8", "-2", "-3"])),
+    # 1882 and 100000 are past the evaluator's range and rejected before
+    # any matrix is built; a degree the solver would really fit stays small
+    st.tuples(
+        st.just("--degree"),
+        st.sampled_from(["2", "-1", "0", "1", "3", "5", "8", "-2", "-3", "1882", "100000"]),
+    ),
     st.tuples(
         st.just("--select"),
         st.just("--degrees"),
         st.one_of(
             st.builds("{}..{}".format, st.integers(-3, 6), st.integers(-3, 12)),
-            st.sampled_from(["2-5", "a..b", "..", "3..", "1..x"]),
+            st.sampled_from(["2-5", "a..b", "..", "3..", "1..x", "2..1882", "0..100000"]),
         ),
     ),
 )

@@ -95,6 +95,43 @@ class TestGroupedLoglik:
             loglik_grouped(SimplexWeights(np.array([0.5, 0.5])), g, (0, 1))
 
 
+class TestProblems:
+    @pytest.mark.parametrize("m", [1882, 100_000])
+    def test_degree_past_the_evaluator_rejected_before_any_matrix(self, m, monkeypatch):
+        import bernmix.likelihood
+
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(bernmix.likelihood, "basis_matrix", no_matrix)
+        monkeypatch.setattr(bernmix.likelihood, "cdf_matrix", no_matrix)
+        atoms = (np.array([0.25, 0.75]), np.array([0.5, 0.5]))
+        grouped = GroupedSample([0.0, 0.5, 1.0], [3, 4])
+        for data, support in ((RawSample(np.array([0.2, 0.7])), None), (grouped, (0, 1)), (atoms, None)):
+            with pytest.raises(ValueError, match=f"degree {m} is above"):
+                next(_problems(data, support, m))
+
+    def test_a_scan_stops_at_the_evaluator_range(self):
+        problems = _problems(RawSample(np.array([0.3])), None, 1880)
+        assert next(problems)[0].shape == (1, 1881)
+        assert next(problems)[0].shape == (1, 1882)
+        with pytest.raises(ValueError, match="degree 1882 is above"):
+            next(problems)
+
+    @pytest.mark.parametrize(
+        "masses, message",
+        [
+            ([0.5, np.nan], "must be finite"),
+            ([np.inf, 0.5], "must be finite"),
+            ([0.5, -0.1], "must be nonnegative"),
+            ([0.0, 0.0], "positive atom mass"),
+        ],
+    )
+    def test_unusable_atom_masses_rejected(self, masses, message):
+        with pytest.raises(ValueError, match=message):
+            next(_problems((np.array([0.25, 0.75]), np.array(masses)), None, 3))
+
+
 class TestRoundedLoglik:
     def test_half_grid_cell(self):
         data = RoundedSample(np.full(6, 0.5), 2)

@@ -200,6 +200,18 @@ class TestSelectDegree:
         with pytest.raises(ValueError):
             select_degree(data, degrees=[1, 3, 5])
 
+    def test_scan_past_the_evaluator_rejected_before_the_first_fit(self, monkeypatch):
+        import bernmix.select
+
+        def no_fit(*args):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(bernmix.select, "_fit", no_fit)
+        data = RawSample(np.random.default_rng(0).uniform(size=50))
+        for degrees in (range(1880, 1883), range(2, 100_001)):
+            with pytest.raises(ValueError, match=f"degree {degrees[-1]} is above"):
+                select_degree(data, degrees=degrees)
+
     def test_raw_support_other_than_the_samples_is_rejected(self):
         # raw data are scaled by their own support; a different one used
         # to be ignored without a word

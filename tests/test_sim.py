@@ -383,6 +383,104 @@ class TestAcceptanceRejection:
                 c_uniform, _ = acceptance_rejection_diag(f, uniform.weights, n=10, seed=7)
                 assert abs(c_started - c_uniform) <= 1e-6, m
 
+    def test_ladder_makes_few_qp_solves(self, monkeypatch):
+        # the first Newton QP from B_m f itself collapsed the free set
+        # (33 -> 8 entries at m = 32) and the active-set loop then added
+        # entries back one solve at a time: 236 solves for this ladder;
+        # one EM step on B_m f first keeps it near 109
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return solve(*args)
+
+        monkeypatch.setattr(em.np.linalg, "solve", counted)
+        f = true_unit_pdf(spec_for("normal01"))
+        for m in (4, 8, 16, 32):
+            best_mixture_approximation(f, m, nodes=512)
+        assert len(calls) <= 120
+
+    @pytest.mark.parametrize("seed", [808, 7])
+    def test_bracket_search_matches_the_33_point_search(self, seed):
+        # oracle: the diagnostic with the bracket search refined by 33
+        # points a sweep (8 sweeps), where it now takes 513 (4 sweeps)
+        f = true_unit_pdf(spec_for("normal01"))
+        grid = np.linspace(0.0, 1.0, 4001)
+        fg = f(grid)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (fg[1:] + fg[:-1]) * np.diff(grid))))
+        cdf /= cdf[-1]
+        for m in (4, 8, 16, 32):
+            w = best_mixture_approximation(f, m, nodes=512)
+            fm = BernsteinMixture(w).pdf
+            ratios = fm(grid) / fg
+            i = int(np.argmax(ratios))
+            c_old = float(ratios[i])
+            lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+            while hi - lo > 1e-12:
+                t = np.linspace(lo, hi, 33)
+                ratios = fm(t) / f(t)
+                i = int(np.argmax(ratios))
+                c_old = max(c_old, float(ratios[i]))
+                lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
+            rng = np.random.default_rng(seed)
+            q, u = rng.uniform(size=10_000), rng.uniform(size=10_000)
+            x = np.interp(q, cdf, grid)
+            kept_old = float(np.mean(u <= fm(x) / (c_old * f(x))))
+            c, kept = acceptance_rejection_diag(f, w, n=10_000, seed=seed)
+            assert abs(c - c_old) <= 1e-15 * c_old, m
+            assert kept == kept_old, m
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda f, t: np.where(t < 0.001, np.inf, f(t)),  # inf near 0
+            lambda f, t: np.full(np.shape(t), np.nan),  # NaN everywhere
+            lambda f, t: np.where(t > 0.9, np.nan, f(t)),  # NaN on (0.9, 1]
+            lambda f, t: np.zeros(np.shape(t)),  # no mass at all
+            lambda f, t: f(t) - 0.2,  # negative in the tails
+        ],
+        ids=["inf", "all-nan", "nan-tail", "all-zero", "negative"],
+    )
+    def test_unusable_truth_is_rejected_before_the_fit(self, bad, monkeypatch):
+        # an inf atom mass made the objective NaN, and the line search
+        # then looped for ever; NaN and all-zero masses fitted garbage
+        import bernmix.sim
+
+        def no_fit(*args):
+            raise AssertionError("the solver was reached")
+
+        monkeypatch.setattr(bernmix.sim, "_fit", no_fit)
+        f = true_unit_pdf(spec_for("normal01"))
+        with pytest.raises(ValueError, match="atom mass"):
+            best_mixture_approximation(lambda t: bad(f, np.asarray(t, float)), 8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_truth_rejected_before_any_draw(self, value, monkeypatch):
+        # a NaN truth gave (nan, 0.0), an inf one (0.0, 0.0)
+        import bernmix.sim
+
+        def no_draw(*args):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(bernmix.sim, "_inverse_cdf_sampler", no_draw)
+        w = SimplexWeights(np.array([0.6, 0.4]))
+        pdf = lambda t: np.where(np.asarray(t, float) > 0.5, value, 1.0)
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            acceptance_rejection_diag(pdf, w, n=10, seed=1)
+
+    @pytest.mark.parametrize("m", [1882, 100_000])
+    def test_degree_past_the_evaluator_rejected_before_any_matrix(self, m, monkeypatch):
+        import bernmix.likelihood
+
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(bernmix.likelihood, "basis_matrix", no_matrix)
+        f = true_unit_pdf(spec_for("normal01"))
+        with pytest.raises(ValueError, match=f"degree {m} is above"):
+            best_mixture_approximation(f, m)
+
     def test_population_fit_at_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(em, "SQP_MAX_STEPS", 1)
         f = true_unit_pdf(spec_for("normal01"))
