@@ -30,8 +30,8 @@ def _check_degree(m):
     """ValueError unless 0 <= m <= 1881, the degrees _bernstein_sum evaluates.
 
     Past 1881 the Horner shift log C(m, m//2) - _LOG_COEF_CAP exceeds 700,
-    where exp(-shift) underflows or exp(shift) overflows.  Cheap at any m:
-    it builds nothing, so a fit checks its degree before its matrices.
+    where exp(-shift) underflows or exp(shift) overflows.  It builds
+    nothing, so a fit or a scan checks its degree before any matrix.
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
@@ -92,9 +92,9 @@ def _bernstein_sum(c, t):
     in through the exponent of the power factor.  The ends are exact (c_0
     at t = 0, c_n at t = 1), and each value depends on its own point
     alone, so it is the same float alone or in any batch; a half of
-    [0, 1] that holds no points skips its Horner pass.  Raises
-    ValueError for n above 1881, where no shift keeps every factor finite
-    (_check_degree), before the binomials are built.
+    [0, 1] that holds no points skips its Horner pass.  A model's pdf, cdf
+    and cells call it at the model's degree, so above 1881 (_check_degree)
+    it raises ValueError for them all, before the binomials are built.
     """
     c = np.asarray(c, dtype=float)
     t = np.asarray(t, dtype=float)

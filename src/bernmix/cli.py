@@ -29,12 +29,11 @@ import warnings
 
 import numpy as np
 
-from .basis import _check_degree
 from .em import _fit
 from .errors import DegenerateDataError, HarnessError, SelectionError
 from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
 from .model import BernsteinMixture, GroupedSample, SimplexWeights
-from .select import lower_bound_degree, select_degree
+from .select import _checked_degrees, lower_bound_degree, select_degree
 from .sim import _ESTIMATORS, ScenarioSpec, mise
 from . import __version__
 
@@ -174,17 +173,13 @@ def _grouped_support(text, grouped):
 
 
 def _parse_degrees(text):
-    if ".." not in text:
-        raise CliInputError(f"--degrees must be 'm0..mk', got {text!r}")
-    lo_s, hi_s = text.split("..", 1)
+    lo_s, _, hi_s = text.partition("..")
     try:
         lo, hi = int(lo_s), int(hi_s)
     except ValueError as exc:
         raise CliInputError(f"--degrees must be 'm0..mk', got {text!r}") from exc
-    if hi - lo < 2 or lo < 0:
-        raise CliInputError("--degrees needs at least three nonnegative degrees")
-    _check_degree(hi)  # before fit reads its data or simulate draws a sample
-    return tuple(range(lo, hi + 1))
+    # checked before fit reads its data or simulate draws a sample
+    return tuple(_checked_degrees(range(lo, hi + 1)).tolist())
 
 
 def write_model_json(path, weights, support, loglik, converged, selection=None):
@@ -211,8 +206,8 @@ def read_model_json(path):
     try:
         weights = SimplexWeights(np.array(doc["weights"], dtype=float))
         support = (float(doc["support"][0]), float(doc["support"][1]))
-        if int(doc["degree"]) != weights.m:
-            raise CliInputError(f"{path}: degree does not match the weights length")
+        if type(doc["degree"]) is not int or doc["degree"] != weights.m:
+            raise CliInputError(f"{path}: degree {doc['degree']!r} is not the integer {weights.m}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: invalid model file: {exc}") from exc
     return BernsteinMixture(weights, support)
@@ -295,6 +290,8 @@ def cmd_eval(args):
             xs = np.array([float(v) for v in args.points.split(",")])
         except ValueError as exc:
             raise CliInputError(f"--points must be comma-separated numbers: {exc}")
+        if not np.all(np.isfinite(xs)):
+            raise CliInputError(f"--points must be finite, got {args.points!r}")
     elif args.grid < 1:
         raise CliInputError(f"--grid must be at least 1, got {args.grid}")
     else:

@@ -190,8 +190,8 @@ def _loglik(mass_mat, row_weights, p):
 def _row_loglik(theta, row_weights):
     """sum_i w_i log theta_i at row masses theta = A p, -inf if one is 0.
 
-    theta is clipped at 0 as in cell_probabilities, so rounding below 0
-    reads as a massless row.
+    theta is clipped at 0, as cell_probabilities clips its CDF
+    differences, so rounding below 0 reads as a massless row.
     """
     theta = theta.clip(0.0, None)
     if (theta <= 0.0).any():

@@ -19,7 +19,6 @@ __all__ = [
     "GroupedSample",
     "to_unit",
     "cell_probabilities",
-    "cell_basis_matrix",
 ]
 
 SIMPLEX_SUM_TOL = 1e-9
@@ -137,17 +136,6 @@ def _covering_unit_breakpoints(breakpoints, support):
     return u
 
 
-def cell_basis_matrix(m, unit_breakpoints):
-    """Per-cell basis masses a_{ij} = B_mj(u_i) - B_mj(u_{i-1}).
-
-    unit_breakpoints must live in [0, 1]; rows index cells, columns index
-    basis components.  Row i dotted with mixture weights gives the model
-    probability of cell i.
-    """
-    u = np.asarray(unit_breakpoints, dtype=float)
-    return np.diff(basis.cdf_matrix(m, u), axis=0)
-
-
 def cell_probabilities(weights, breakpoints, support):
     """Model probabilities of the cells of a partition of the support.
 
@@ -158,21 +146,20 @@ def cell_probabilities(weights, breakpoints, support):
     Returns
     -------
     ndarray
-        theta_i = sum_j p_j {B_mj(u_i) - B_mj(u_{i-1})}, nonnegative and
-        summing to 1 within 1e-12.
+        theta_i = F_m(u_i) - F_m(u_{i-1}) from BernsteinMixture.cdf,
+        clipped at 0 and summing to 1 within 1e-12.
     """
     u = _covering_unit_breakpoints(breakpoints, support)
-    theta = cell_basis_matrix(weights.m, u) @ weights.p
-    return np.clip(theta, 0.0, None)
+    return np.clip(np.diff(BernsteinMixture(weights).cdf(u)), 0.0, None)
 
 
 @dataclass(frozen=True, eq=False)
 class BernsteinMixture:
     """Beta-mixture density on an explicit support interval [a, b].
 
-    pdf and cdf are one matrix-free Horner sum each (basis._bernstein_sum):
-    memory linear in the number of points, and a point's value is the
-    same float whether it is evaluated alone or in any batch.
+    pdf, cdf and cell probabilities are matrix-free Horner sums at degree m
+    (basis._bernstein_sum): memory linear in the number of points, and a
+    point's value is the same float alone or in any batch.
     """
 
     weights: SimplexWeights
@@ -199,22 +186,26 @@ class BernsteinMixture:
     def cdf(self, x):
         """Distribution function at x; exactly 0 at a and 1 at b.
 
-        Summing the binomial-tail identity of the basis CDFs over j gives
-        F(t) = sum_k P_(k-1) C(m+1,k) t^k (1-t)^(m+1-k), with P_(-1) = 0 and
+        The binomial-tail identity of the basis CDFs, summed over j with
+        C(m+1,k) = (m+1)/k C(m,k-1), is one sum at the model's degree m:
+        F(t) = (m+1) t sum_j P_j/(j+1) C(m,j) t^j (1-t)^(m-j), where
         P_j = p_0 + ... + p_j for the weights scaled to sum to 1.  Above
-        t = 1/2 the same sum over the tails 1 - P_(k-1) = p_k + ... + p_m
-        gives 1 - F, so F near 1 keeps the accuracy of its small complement
-        and stays nondecreasing where the density vanishes toward b.
+        t = 1/2 the tails Q_j = p_j + ... + p_m give 1 - F(t) =
+        (m+1) (1-t) sum_j Q_j/(m+1-j) C(m,j) t^j (1-t)^(m-j), so F near 1
+        keeps the accuracy of its small complement and stays nondecreasing
+        where the density vanishes toward b.
         """
         u = to_unit(x, self.support)
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
         p = self.weights.p / self.weights.p.sum()
         low = u <= 0.5
+        tl, th = u[low], u[~low]
         vals = np.empty(u.shape)
-        vals[low] = basis._bernstein_sum(np.concatenate(([0.0], np.cumsum(p))), u[low])
-        tails = np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
-        vals[~low] = 1.0 - basis._bernstein_sum(tails, u[~low])
+        heads = np.cumsum(p) / np.arange(1, p.size + 1)
+        vals[low] = p.size * tl * basis._bernstein_sum(heads, tl)
+        tails = np.cumsum(p[::-1])[::-1] / np.arange(p.size, 0, -1)
+        vals[~low] = 1.0 - p.size * (1.0 - th) * basis._bernstein_sum(tails, th)
         vals = np.clip(vals, 0.0, 1.0)
         return float(vals[0]) if scalar else vals
 

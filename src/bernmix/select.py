@@ -142,6 +142,24 @@ def default_degrees(bound):
     return np.arange(lo, bound + 31)
 
 
+def _checked_degrees(degrees):
+    """Sorted int array of a scan's degrees: at least three, consecutive,
+    nonnegative, the top one accepted by _check_degree; else ValueError.
+    A step-1 range is checked by its ends before it is built.
+    """
+    if not (isinstance(degrees, range) and degrees.step == 1):
+        degrees = sorted(int(m) for m in degrees)
+    if len(degrees[:3]) < 3:  # a slice: len() overflows past 2**63 degrees
+        raise ValueError("need at least three degrees (k >= 2)")
+    if degrees[0] < 0:
+        raise ValueError(f"need nonnegative degrees, got {degrees[0]}")
+    _check_degree(int(degrees[-1]))
+    degrees = np.asarray(degrees)
+    if np.any(np.diff(degrees) != 1):
+        raise ValueError("degrees must be consecutive integers")
+    return degrees
+
+
 def select_degree(data, support=None, degrees=None):
     """Fit the MBLE at every degree in a consecutive set and pick one.
 
@@ -171,9 +189,9 @@ def select_degree(data, support=None, degrees=None):
         Grouped data need an explicit support; raw data carry their own,
         and a support that differs from it raises ValueError.
     degrees : sequence of int, optional
-        Consecutive degrees m_0..m_0+k with k >= 2, none above 1881 (the
-        evaluator's range; checked before the first fit).  Default is the
-        moment lower bound minus 5 (floored at 1) through bound plus 30.
+        Consecutive degrees m_0..m_0+k with k >= 2 (_checked_degrees, before
+        the first fit), by default the moment lower bound - 5 (at least 1)
+        through bound + 30.
 
     Returns
     -------
@@ -193,16 +211,7 @@ def select_degree(data, support=None, degrees=None):
     else:
         raise TypeError(f"cannot select a degree for {type(data).__name__}")
 
-    if degrees is None:
-        degrees = default_degrees(bound)
-    degrees = np.asarray(sorted(int(m) for m in degrees))
-    if degrees.size < 3:
-        raise ValueError("need at least three degrees (k >= 2)")
-    if np.any(np.diff(degrees) != 1):
-        raise ValueError("degrees must be consecutive integers")
-    if degrees[0] < 0:
-        raise ValueError("degrees must be nonnegative")
-    _check_degree(int(degrees[-1]))  # the whole range, before the first fit
+    degrees = _checked_degrees(default_degrees(bound) if degrees is None else degrees)
     if degrees[0] >= bound:
         warnings.warn(
             f"first degree {degrees[0]} is not below the estimated lower "

@@ -36,7 +36,7 @@ from .em import _fit, em_step
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample, _problems
 from .model import BernsteinMixture, GroupedSample, _checked_support
-from .select import select_degree
+from .select import _checked_degrees, select_degree
 
 __all__ = [
     "ScenarioSpec",
@@ -174,8 +174,8 @@ def scenario_distribution(tag):
 class ScenarioSpec:
     """One benchmark configuration.
 
-    truncation=None means the scenario's default interval; degrees=None
-    lets the degree scan use its data-driven default set.
+    truncation=None means the scenario's default interval; degrees=None lets
+    the scan use its default set, and others are checked as it checks them.
     """
 
     distribution: str
@@ -190,6 +190,8 @@ class ScenarioSpec:
         for name in ("n", "n_cells", "replicates"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.degrees is not None:
+            _checked_degrees(self.degrees)
 
     def resolved_truncation(self):
         if self.truncation is not None:

@@ -15,13 +15,18 @@ import pytest
 import bernmix as bm
 import bernmix.cli
 from bernmix.em import em_step
-from bernmix.model import cell_basis_matrix
 from bernmix.sim import best_mixture_approximation, true_unit_pdf
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore:.*lower bound.*"),
     pytest.mark.filterwarnings("ignore:.*nested degree scan.*"),
 ]
+
+
+def cell_basis_matrix(m, unit_breakpoints):
+    """Per-cell basis masses B_mj(u_i) - B_mj(u_{i-1}); rows are cells."""
+    return np.diff(bm.cdf_matrix(m, unit_breakpoints), axis=0)
+
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 CHICKEN_CSV = DATA_DIR / "chicken_embryo.csv"

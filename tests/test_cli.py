@@ -227,7 +227,8 @@ class TestFit:
     @pytest.mark.parametrize(
         "degree",
         [["--degree", "1882"], ["--degree", "100000"], ["--select", "--degrees", "2..1882"],
-         ["--select", "--degrees", "0..100000"]],
+         ["--select", "--degrees", "0..100000"], ["--select", "--degrees", "0..1000000000000000000"],
+         ["--select", "--degrees", "0..1" + "0" * 30]],
     )
     def test_degree_past_the_evaluator_is_input_error(self, tmp_path, capsys, monkeypatch, degree):
         # --degree 100000 ended in numpy's _ArrayMemoryError traceback
@@ -276,6 +277,15 @@ class TestEval:
         assert captured.err.startswith("point 9.5 outside the support")
         assert "NaN,NaN" in captured.out
 
+    @pytest.mark.parametrize("points", ["nan,1", "0.5,inf", "-inf"])
+    def test_non_finite_point_is_input_error(self, tmp_path, capsys, points):
+        # "nan" was reported as a point outside the support, with exit 4
+        model = self.make_model(tmp_path)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", str(model), "--points", points, "--out", str(out)]) == 2
+        assert "--points must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rows_match_library_bit_for_bit(self, tmp_path):
         rng = np.random.default_rng(6)
         weights = SimplexWeights(rng.dirichlet(np.ones(4)))
@@ -309,7 +319,7 @@ class TestEval:
         }
         model = tmp_path / "m.json"
         write(model, json.dumps(doc))
-        points = ["-1", "0", "3.7", "nan", "10.5", "21", "21.5", "0.001", "20.999"]
+        points = ["-1", "0", "3.7", "1e9", "10.5", "21", "21.5", "0.001", "20.999"]
         code = main(["eval", "--model", str(model), "--points=" + ",".join(points)])
         captured = capsys.readouterr()
         rows = captured.out.strip().splitlines()[1:]
@@ -338,7 +348,7 @@ class TestEval:
         model_path = tmp_path / "m.json"
         write(model_path, json.dumps(doc))
         model = read_model_json(str(model_path))
-        points = ["-0", "3.7", "-1e-300", "nan", "21", "inf", "1e-310", "21.000000001", "-inf"]
+        points = ["-0", "3.7", "-1e-300", "-5", "21", "1e308", "1e-310", "21.000000001", "-1e308"]
         cases = [
             (["--grid", "2000"], np.linspace(0.0, 21.0, 2001)),
             (["--points=" + ",".join(points)], np.array([float(v) for v in points])),
@@ -513,6 +523,16 @@ class TestModelJsonRoundTrip:
         text = path.read_text()
         assert "\r" not in text
 
+    @pytest.mark.parametrize("degree", [3.7, "3", True])
+    def test_degree_that_is_not_an_integer_is_input_error(self, tmp_path, capsys, degree):
+        # int(3.7) == 3 let a 4-weight model with degree 3.7 evaluate
+        doc = {"degree": degree, "weights": [0.25] * 4, "support": [0, 1], "loglik": 0,
+               "converged": True, "selection": None}
+        path = tmp_path / "m.json"
+        write(path, json.dumps(doc))
+        assert main(["eval", "--model", str(path), "--points", "0.5"]) == 2
+        assert f"{path}: degree {degree!r} is not the integer 3" in capsys.readouterr().err
+
 
 # every file is well formed, or carries exactly one of these faults
 BAD_TOKENS = st.sampled_from(["nan", "inf", "-inf", "1e400", "x", "", "2.5"])
@@ -590,12 +610,17 @@ DEGREE_FLAGS = st.one_of(
 EVAL_FLAGS = st.one_of(
     st.tuples(
         st.just("--points"),
-        st.sampled_from(["", "0", "-1", "0.5", "0,0.25,1", "-0.5,0.5", "1.5", "nan", "a", "0,,1"]),
+        st.sampled_from(
+            ["", "0", "-1", "0.5", "0,0.25,1", "-0.5,0.5", "1.5", "nan", "inf", "-inf", "a", "0,,1"]
+        ),
     ),
     st.tuples(st.just("--grid"), st.sampled_from(["0", "-1", "-7", "1", "8", "x"])),
 )
-# an empty point list and grids below 1: input errors
-BAD_EVAL_FLAGS = (("--points", ""), ("--grid", "0"), ("--grid", "-1"), ("--grid", "-7"))
+# an empty point list, a point that is not finite and grids below 1: input errors
+BAD_EVAL_FLAGS = (
+    ("--points", ""), ("--points", "nan"), ("--points", "inf"), ("--points", "-inf"),
+    ("--grid", "0"), ("--grid", "-1"), ("--grid", "-7"),
+)
 EVAL_MODEL = (
     '{"degree": 2, "weights": [0.25, 0.5, 0.25], "support": [0, 1], '
     '"loglik": 0, "converged": true, "selection": null}\n'

@@ -13,6 +13,7 @@ from bernmix import (
     ScenarioSpec,
     SimplexWeights,
     basis_matrix,
+    cdf_matrix,
     degree_elevate,
     em_grouped,
     em_raw,
@@ -29,8 +30,12 @@ from bernmix.em import (
     em_step,
 )
 from bernmix.likelihood import _loglik, _problem, _problems
-from bernmix.model import cell_basis_matrix
 from bernmix.sim import best_mixture_approximation, true_unit_pdf
+
+
+def cell_basis_matrix(m, unit_breakpoints):
+    """Per-cell basis masses B_mj(u_i) - B_mj(u_{i-1}); rows are cells."""
+    return np.diff(cdf_matrix(m, unit_breakpoints), axis=0)
 
 
 def simplex_grid_best(loglik_fn, step=0.01, refine=0.001):

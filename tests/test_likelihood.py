@@ -14,6 +14,7 @@ from bernmix import (
     basis_matrix,
     beta_cdf,
     beta_density,
+    cdf_matrix,
     cell_probabilities,
     degree_elevate,
     loglik_grouped,
@@ -22,7 +23,11 @@ from bernmix import (
     rounded_to_grouped,
 )
 from bernmix.likelihood import _problems
-from bernmix.model import cell_basis_matrix
+
+
+def cell_basis_matrix(m, unit_breakpoints):
+    """Per-cell basis masses B_mj(u_i) - B_mj(u_{i-1}); rows are cells."""
+    return np.diff(cdf_matrix(m, unit_breakpoints), axis=0)
 
 
 class TestRawLoglik:

@@ -155,6 +155,19 @@ class TestDensityAndCdf:
             assert mix.cdf(a) == 0.0 and mix.cdf(b) == 1.0
             assert np.all(np.diff(cdf) >= 0.0)
 
+    def test_top_degree_cdf_and_cells(self):
+        # the CDF summed at degree m + 1 and raised for m = 1881; uniform
+        # weights are the uniform density at every degree, so F(t) = t.
+        # At this degree the binomials are rounded near exp(1300), which
+        # leaves the pdf 3.6e-13 off 1 and the CDF about half that.
+        mix = BernsteinMixture(SimplexWeights(np.full(1882, 1.0 / 1882)))
+        t = np.linspace(0.0, 1.0, 2001)
+        cdf = mix.cdf(t)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0
+        np.testing.assert_allclose(cdf, t, rtol=0.0, atol=4e-13)
+        bp = np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(size=19)), [1.0]))
+        np.testing.assert_allclose(mix.cell_probabilities(bp), np.diff(bp), rtol=0.0, atol=4e-13)
+
     def test_cdf_equals_density_quadrature(self):
         rng = np.random.default_rng(2)
         mix = BernsteinMixture(SimplexWeights(rng.dirichlet(np.ones(8))), (0.0, 2.0))
@@ -198,6 +211,22 @@ class TestCellProbabilities:
             theta = cell_probabilities(SimplexWeights(p), bp, (0.0, 1.0))
             assert np.all(theta >= 0.0)
             assert abs(theta.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 13, 200, 1000])
+    def test_equals_the_beta_cdf_oracle(self, m):
+        # the Horner sum rounds each binomial once, from its logarithm: the
+        # error grows about linearly with the degree
+        rng = np.random.default_rng(m)
+        for n_cells in (1, 2, 10, 50):
+            p = rng.dirichlet(np.full(m + 1, 0.5))
+            bp = np.concatenate(([0.0], np.sort(rng.uniform(size=n_cells - 1)), [1.0]))
+            columns = np.column_stack([beta_cdf(m, j, bp) for j in range(m + 1)])
+            np.testing.assert_allclose(
+                cell_probabilities(SimplexWeights(p), bp, (0.0, 1.0)),
+                np.diff(columns, axis=0) @ p,
+                rtol=0.0,
+                atol=2e-16 * (m + 1),
+            )
 
     def test_two_cell_partition_matches_cdf(self):
         rng = np.random.default_rng(9)

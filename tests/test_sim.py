@@ -162,6 +162,21 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"{field} must be at least 1"):
             ScenarioSpec("exp1", **kwargs)
 
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [(range(1, 1883), "degree 1882 is above"), ((1, 2), "at least three"), ((1, 3, 4), "consecutive")],
+    )
+    def test_bad_degree_range_fails_before_any_replicate(self, monkeypatch, degrees, message):
+        # mise used to count each replicate's ValueError as a failure and
+        # end in HarnessError
+        import bernmix.sim
+
+        scans = []
+        monkeypatch.setattr(bernmix.sim, "select_degree", lambda *a, **k: scans.append(a))
+        with pytest.raises(ValueError, match=message):
+            mise(ScenarioSpec("exp1", n=100, n_cells=10, replicates=3, degrees=degrees), "mble")
+        assert scans == []
+
 
 class TestGrouping:
     def test_half_open_convention(self):
