@@ -236,8 +236,33 @@ def pareto_family(scale=0.5):
     )
 
 
-def _std_normal_pdf(u):
-    f = np.exp(-0.5 * u * u) / _SQRT_2PI
+def _location_scale_family(tag, scale_name, std_cdf, std_pdf, scale_of_variance):
+    """The law F0((x - mu)/s) of a standard law F0 symmetric about 0.
+
+    std_pdf(u, s=1) returns f0(u)/s and f0'(u)/s, the scale dividing the
+    closed form once; scale_of_variance(var) is the s of the law with
+    variance var, the moment start.  Symmetry gives sf(x) = F0((mu - x)/s)
+    without cancellation.
+    """
+
+    def std(x, prm):
+        return (np.asarray(x, dtype=float) - prm[0]) / prm[1]  # u; -u is (mu - x)/s exactly
+
+    return ParametricFamily(
+        tag=tag,
+        param_names=("mu", scale_name),
+        cdf=lambda x, prm: std_cdf(std(x, prm)),
+        sf=lambda x, prm: std_cdf(-std(x, prm)),
+        pdf=lambda x, prm: std_pdf(std(x, prm), prm[1])[0],
+        init=lambda mu, var: np.array([mu, scale_of_variance(max(var, 1e-12))]),
+        to_z=lambda prm: np.array([prm[0], np.log(prm[1])]),
+        from_z=lambda z: np.array([z[0], np.exp(z[1])]),
+        cdf_dz=_location_scale_dz(std_pdf),
+    )
+
+
+def _std_normal_pdf(u, s=1.0):
+    f = np.exp(-0.5 * u * u) / (s * _SQRT_2PI)
     return f, -u * f
 
 
@@ -246,58 +271,32 @@ def _std_normal_cdf(u):
     return 0.5 * np.asarray(_erfc(u * -_SQRT_HALF), dtype=float)
 
 
-def normal_family():
-    """N(mu, sigma^2), both parameters free."""
-    return ParametricFamily(
-        tag="normal",
-        param_names=("mu", "sigma"),
-        cdf=lambda x, prm: _std_normal_cdf((np.asarray(x, dtype=float) - prm[0]) / prm[1]),
-        sf=lambda x, prm: _std_normal_cdf((prm[0] - np.asarray(x, dtype=float)) / prm[1]),
-        pdf=lambda x, prm: np.exp(-0.5 * ((np.asarray(x, dtype=float) - prm[0]) / prm[1]) ** 2)
-        / (prm[1] * _SQRT_2PI),
-        init=lambda mu, var: np.array([mu, math.sqrt(max(var, 1e-12))]),
-        to_z=lambda prm: np.array([prm[0], np.log(prm[1])]),
-        from_z=lambda z: np.array([z[0], np.exp(z[1])]),
-        cdf_dz=_location_scale_dz(_std_normal_pdf),
-    )
-
-
-def _std_logistic_pdf(u):
+def _std_logistic_pdf(u, s=1.0):
     e = np.exp(-np.abs(u))
-    f = e / (1.0 + e) ** 2
+    f = e / (s * (1.0 + e) ** 2)
     cdf = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
     return f, f * (1.0 - 2.0 * cdf)
 
 
+def _std_logistic_cdf(u):
+    # exp(-u) overflows to inf far below the location, where F is 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
+def normal_family():
+    """N(mu, sigma^2), both parameters free."""
+    return _location_scale_family("normal", "sigma", _std_normal_cdf, _std_normal_pdf, math.sqrt)
+
+
 def logistic_family():
     """Logistic with location mu and scale s: F(t) = 1/(1 + exp(-(t-mu)/s))."""
-
-    def std_cdf(u):
-        # exp(-u) overflows to inf far below the location, where F is 0
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-u))
-
-    def cdf(x, prm):
-        return std_cdf((np.asarray(x, dtype=float) - prm[0]) / prm[1])
-
-    def sf(x, prm):
-        return std_cdf((prm[0] - np.asarray(x, dtype=float)) / prm[1])
-
-    def pdf(x, prm):
-        z = np.abs(np.asarray(x, dtype=float) - prm[0]) / prm[1]
-        e = np.exp(-z)
-        return e / (prm[1] * (1.0 + e) ** 2)
-
-    return ParametricFamily(
-        tag="logistic",
-        param_names=("mu", "s"),
-        cdf=cdf,
-        sf=sf,
-        pdf=pdf,
-        init=lambda mu, var: np.array([mu, math.sqrt(max(var, 1e-12) * 3.0) / math.pi]),
-        to_z=lambda prm: np.array([prm[0], np.log(prm[1])]),
-        from_z=lambda z: np.array([z[0], np.exp(z[1])]),
-        cdf_dz=_location_scale_dz(_std_logistic_pdf),
+    return _location_scale_family(
+        "logistic",
+        "s",
+        _std_logistic_cdf,
+        _std_logistic_pdf,
+        lambda var: math.sqrt(var * 3.0) / math.pi,  # the variance is pi^2 s^2 / 3
     )
 
 

@@ -7,7 +7,8 @@ degrees in the hundreds stay finite (C(m, k) itself overflows a float
 past m of about 1030), and the basis CDFs use the exact binomial-tail
 identity (integer shapes) instead of a generic incomplete-beta routine.
 
-The basis and CDF matrices feed the likelihood problems.  A mixture with
+The basis and CDF matrices feed the likelihood problems; both are read
+off one closed-form Binomial table (_binomial_table).  A mixture with
 known weights is evaluated without a matrix, by Horner's scheme for the
 Bernstein form (_bernstein_sum).
 """
@@ -66,9 +67,6 @@ def _log_binomials(m):
 # coefficient: with weights at most 1 the n+1 coefficients then sum to at
 # most (n+1) e^600, far below the float maximum (about e^709)
 _LOG_COEF_CAP = 600.0
-# a larger shift would underflow exp(-shift) or overflow exp(shift); it is
-# reached at degree 1882
-_MAX_SHIFT = 700.0
 
 
 def _horner(coefs, s):
@@ -183,29 +181,38 @@ def beta_cdf(m, j, t):
     return float(out[0]) if scalar else out
 
 
-def basis_matrix(m, t):
-    """All basis densities at once.
+def _binomial_table(n, t, scale):
+    """scale * C(n,k) t^k (1-t)^(n-k) at each t in [0, 1], shape (len(t), n+1).
 
-    Returns an array of shape (len(t), m+1) with entry [i, j] equal to
-    beta_density(m, j, t[i]).  This is the workhorse for likelihood and
-    EM evaluations.
+    Each interior entry is one exp of log(scale) + log C(n,k) + k log t +
+    (n-k) log1p(-t); the rows at t = 0 and t = 1 are set exactly.
     """
-    if m < 0:
-        raise ValueError(f"degree must be nonnegative, got {m}")
     t = _check_unit(np.atleast_1d(t))
-    j = np.arange(m + 1)
-    log_coef = np.log(m + 1.0) + _log_binomials(m)
-    out = np.zeros((t.size, m + 1))
+    k = np.arange(n + 1)
+    log_coef = np.log(scale) + _log_binomials(n)
+    out = np.zeros((t.size, n + 1))
     interior = (t > 0.0) & (t < 1.0)
     ti = t[interior]
     out[interior] = np.exp(
         log_coef[None, :]
-        + j[None, :] * np.log(ti)[:, None]
-        + (m - j)[None, :] * np.log1p(-ti)[:, None]
+        + k[None, :] * np.log(ti)[:, None]
+        + (n - k)[None, :] * np.log1p(-ti)[:, None]
     )
-    out[t == 0.0, 0] = m + 1.0
-    out[t == 1.0, m] = m + 1.0
+    out[t == 0.0, 0] = scale
+    out[t == 1.0, n] = scale
     return out
+
+
+def basis_matrix(m, t):
+    """All basis densities at once.
+
+    Returns an array of shape (len(t), m+1) with entry [i, j] equal to
+    beta_density(m, j, t[i]), the Binomial(m, t) pmf scaled by m+1.  This
+    is the workhorse for likelihood and EM evaluations.
+    """
+    if m < 0:
+        raise ValueError(f"degree must be nonnegative, got {m}")
+    return _binomial_table(m, t, m + 1.0)
 
 
 def cdf_matrix(m, t):
@@ -217,21 +224,9 @@ def cdf_matrix(m, t):
     """
     if m < 0:
         raise ValueError(f"degree must be nonnegative, got {m}")
-    t = _check_unit(np.atleast_1d(t))
-    k = np.arange(m + 2)
-    log_binom = _log_binomials(m + 1)
-    out = np.zeros((t.size, m + 1))
-    interior = (t > 0.0) & (t < 1.0)
-    ti = t[interior]
-    pmf = np.exp(
-        log_binom[None, :]
-        + k[None, :] * np.log(ti)[:, None]
-        + (m + 1 - k)[None, :] * np.log1p(-ti)[:, None]
-    )
+    pmf = _binomial_table(m + 1, t, 1.0)
     tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
-    out[interior] = np.clip(tail[:, 1:], 0.0, 1.0)
-    out[t == 1.0] = 1.0
-    return out
+    return np.clip(tail[:, 1:], 0.0, 1.0)
 
 
 def degree_elevate(p, r):

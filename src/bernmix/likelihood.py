@@ -90,9 +90,9 @@ class RoundedSample:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        k = int(self.grid_density)
-        if k < 1:
-            raise ValueError("grid density must be a positive integer")
+        k = self.grid_density
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"grid density must be a positive integer, got {k!r}")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a nonempty 1-d vector")
         if not np.all(np.isfinite(values)):
@@ -101,7 +101,7 @@ class RoundedSample:
         if np.any(np.abs(scaled - np.round(scaled)) > 1e-12):
             raise ValueError("every value must be an integer multiple of 1/K")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "grid_density", k)
+        object.__setattr__(self, "grid_density", int(k))
 
     @property
     def n(self):

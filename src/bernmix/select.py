@@ -20,7 +20,7 @@ from .basis import _check_degree, degree_elevate
 from .em import _fit
 from .errors import DegenerateDataError, SelectionError
 from .likelihood import RawSample, _problems
-from .model import GroupedSample, to_unit
+from .model import GroupedSample, _covering_unit_breakpoints
 
 __all__ = [
     "DegreeSelectionTrace",
@@ -81,6 +81,7 @@ def lower_bound_degree(grouped, support):
     zero variance and is rejected as degenerate; it is recognised by its
     count of populated cells, since the computed mean of equal midpoints
     can sit an ulp off them and leave a variance of ~1e-32 instead of 0.
+    The breakpoints must cover the support, as in every grouped fit.
     """
     n = grouped.n
     if n < 2:
@@ -88,7 +89,7 @@ def lower_bound_degree(grouped, support):
     counts = grouped.counts.astype(float)
     if np.count_nonzero(counts) < 2:
         raise DegenerateDataError("all mass in one cell: zero midpoint variance")
-    u = to_unit(grouped.breakpoints, support)
+    u = _covering_unit_breakpoints(grouped.breakpoints, support)
     mid = 0.5 * (u[:-1] + u[1:])
     mu = float(counts @ mid) / n
     var = float(counts @ (mid - mu) ** 2) / (n - 1)

@@ -188,8 +188,9 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name in ("n", "n_cells", "replicates"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
         if self.degrees is not None:
             _checked_degrees(self.degrees)
 

@@ -335,12 +335,15 @@ class TestNormalCdf:
         np.testing.assert_allclose(fam.cdf(x, self.STD), ndtr(x), rtol=5e-14, atol=0.0)
         np.testing.assert_allclose(fam.sf(x, self.STD), ndtr(-x), rtol=5e-14, atol=0.0)
 
-    def test_sf_is_the_cdf_reflected(self):
-        fam, x = normal_family(), np.linspace(-30.0, 30.0, 6001)
+    # the location-scale builder's sf is the reflected cdf of a symmetric law
+    @pytest.mark.parametrize("factory", [normal_family, logistic_family], ids=["normal", "logistic"])
+    def test_sf_is_the_cdf_reflected(self, factory):
+        fam, x = factory(), np.linspace(-30.0, 30.0, 6001)
         np.testing.assert_array_equal(fam.sf(x, self.STD), fam.cdf(-x, self.STD))
 
-    def test_keeps_the_shape_of_its_input(self):
-        fam = normal_family()
+    @pytest.mark.parametrize("factory", [normal_family, logistic_family], ids=["normal", "logistic"])
+    def test_keeps_the_shape_of_its_input(self, factory):
+        fam = factory()
         assert np.shape(fam.cdf(0.5, self.STD)) == ()
         assert np.shape(fam.sf(np.array(0.5), self.STD)) == ()
         x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)

@@ -503,6 +503,15 @@ class TestLowerBound:
         assert captured.out == ""
         assert "one cell" in captured.err
 
+    def test_support_past_the_breakpoints_exits_2_as_fit_does(self, tmp_path, capsys):
+        for command in (["lower-bound"], ["fit", "--degree", "3", "--out", str(tmp_path / "m.json")]):
+            argv = [*command, "--grouped", str(CHICKEN_CSV), "--support", "0,30"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "breakpoints must cover the full support" in captured.err
+        assert not (tmp_path / "m.json").exists()
+
     def test_negative_support_end_as_separate_token(self, tmp_path, capsys):
         path = tmp_path / "g.csv"
         write(path, "lower,upper,count\n-1,0,4\n0,1,6\n")

@@ -162,6 +162,11 @@ class TestRoundedLoglik:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             RoundedSample(np.array([0.05, 0.5]), 2)
+        # int(2.5) used to run K = 2 in silence
+        for k in (2.5, 2.0, "2", 0):
+            with pytest.raises(ValueError, match="grid density must be a positive integer"):
+                RoundedSample(np.array([0.4, 0.8]), k)
+        assert RoundedSample(np.array([0.5]), np.int64(2)).grid_density == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sample_rejects_non_finite(self, bad):

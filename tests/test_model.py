@@ -239,9 +239,15 @@ class TestCellProbabilities:
             )
 
     def test_partial_partition_rejected(self):
+        # the moment bound reads the same covering check as the cells
         w = SimplexWeights(np.array([1.0]))
-        with pytest.raises(ValueError):
-            cell_probabilities(w, [0.0, 0.4], (0.0, 1.0))
+        g = GroupedSample([0.0, 0.2, 0.4], [3, 4])
+        for use in (
+            lambda: cell_probabilities(w, [0.0, 0.4], (0.0, 1.0)),
+            lambda: lower_bound_degree(g, (0.0, 1.0)),
+        ):
+            with pytest.raises(ValueError, match="cover the full support"):
+                use()
 
 
 class TestGroupedSample:

@@ -155,7 +155,9 @@ class TestScenarioLaws:
 
 class TestScenarioSpec:
     @pytest.mark.parametrize("field", ["n", "n_cells", "replicates"])
-    @pytest.mark.parametrize("value", [0, -1])
+    # n = 2.5 used to draw 2 points, and n_cells or replicates = 2.5 to end
+    # mise in a TypeError
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, "3"])
     def test_empty_runs_are_rejected(self, field, value):
         kwargs = dict(n=10, n_cells=5, replicates=3)
         kwargs[field] = value
