@@ -13,9 +13,10 @@ MISE CSV columns: scenario,n,cells,estimator,mise,weighted_mise,
 degree_mean,degree_var,replicates.
 
 All floats are serialized with 17 significant digits, UTF-8, LF line
-endings.  Exit codes: 0 ok, 2 input error, 3 non-convergence (the
-solver stopped at em.SQP_MAX_STEPS; the model is still written), 4 eval
-domain flag, 5 harness failure.  A warning of a degree scan in fit
+endings.  Exit codes: 0 ok, 2 input error (an --out that cannot be
+written among them), 3 non-convergence (the solver stopped at
+em.SQP_MAX_STEPS; the model is still written), 4 eval domain flag, 5
+harness failure.  A warning of a degree scan in fit
 --select or simulate (a first degree not below the moment lower bound,
 a loglik that fell along the scan) is printed once as one
 "bernmix: note: ..." line on stderr and does not change the exit code.
@@ -44,8 +45,26 @@ EXIT_EVAL_DOMAIN = 4
 EXIT_HARNESS = 5
 
 
+# eval evaluates and writes its rows this many at a time, so its memory
+# does not grow with --grid
+_EVAL_BLOCK = 2048
+
+
 class CliInputError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The text file at path, open for writing.
+
+    An OSError from opening, writing or closing it is an input error.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _fmt(x):
@@ -191,7 +210,7 @@ def write_model_json(path, weights, support, loglik, converged, selection=None):
         "converged": bool(converged),
         "selection": selection,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(_json_dumps(doc) + "\n")
 
 
@@ -282,6 +301,18 @@ def cmd_fit(args):
     return EXIT_OK
 
 
+def _grid_rows(a, b, g, lo, hi):
+    """Rows lo..hi-1 of np.linspace(a, b, g + 1), bit for bit, built alone."""
+    x = np.arange(lo, hi, dtype=float)
+    step = (b - a) / g
+    # linspace's own branch for a step that underflows to zero
+    x = x * step if step != 0 else x / g * (b - a)
+    x += a
+    if hi == g + 1:
+        x[-1] = b
+    return x
+
+
 def cmd_eval(args):
     model = read_model_json(args.model)
     a, b = model.support
@@ -292,31 +323,34 @@ def cmd_eval(args):
             raise CliInputError(f"--points must be comma-separated numbers: {exc}")
         if not np.all(np.isfinite(xs)):
             raise CliInputError(f"--points must be finite, got {args.points!r}")
+        n_rows, rows_of = len(xs), lambda lo, hi: xs[lo:hi]
     elif args.grid < 1:
         raise CliInputError(f"--grid must be at least 1, got {args.grid}")
     else:
-        xs = np.linspace(a, b, args.grid + 1)
-    inside = (xs >= a) & (xs <= b)
-    dens = np.full(xs.shape, np.nan)
-    cdf = np.full(xs.shape, np.nan)
-    dens[inside] = model.pdf(xs[inside])
-    cdf[inside] = model.cdf(xs[inside])
-    for x in xs[~inside]:
-        print(f"point {float(x)!r} outside the support [{a}, {b}]", file=sys.stderr)
-    # "%.17g" of a finite float is _fmt's token, so the finite rows take one
-    # "%" over a flat tuple; the rows with a NaN or inf are spelled by _fmt
-    rows = np.column_stack([xs, dens, cdf])
-    finite = np.isfinite(rows).all(axis=1)
-    lines = ["%.17g,%.17g,%.17g\n"] * len(rows)
-    for i in np.flatnonzero(~finite):
-        lines[i] = ",".join(map(_fmt, rows[i])) + "\n"
-    text = "x,density,cdf\n" + "".join(lines) % tuple(rows[finite].ravel().tolist())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if inside.all() else EXIT_EVAL_DOMAIN
+        n_rows, rows_of = args.grid + 1, lambda lo, hi: _grid_rows(a, b, args.grid, lo, hi)
+    all_inside = True
+    with _output(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("x,density,cdf\n")
+        for lo in range(0, n_rows, _EVAL_BLOCK):
+            x = rows_of(lo, min(lo + _EVAL_BLOCK, n_rows))
+            inside = (x >= a) & (x <= b)
+            dens = np.full(x.shape, np.nan)
+            cdf = np.full(x.shape, np.nan)
+            dens[inside] = model.pdf(x[inside])
+            cdf[inside] = model.cdf(x[inside])
+            for v in x[~inside]:
+                print(f"point {float(v)!r} outside the support [{a}, {b}]", file=sys.stderr)
+            all_inside &= bool(inside.all())
+            # "%.17g" of a finite float is _fmt's token, so the finite rows take
+            # one "%" over a flat tuple; the rows with a NaN or inf are spelled
+            # by _fmt
+            rows = np.column_stack([x, dens, cdf])
+            finite = np.isfinite(rows).all(axis=1)
+            lines = ["%.17g,%.17g,%.17g\n"] * len(rows)
+            for i in np.flatnonzero(~finite):
+                lines[i] = ",".join(map(_fmt, rows[i])) + "\n"
+            fh.write("".join(lines) % tuple(rows[finite].ravel().tolist()))
+    return EXIT_OK if all_inside else EXIT_EVAL_DOMAIN
 
 
 def cmd_simulate(args):
@@ -359,10 +393,10 @@ def cmd_simulate(args):
 
     # the CSV header is the JSON keys; --estimators names at least one row
     lines = [",".join(rows[0])] + [",".join(cell(v) for v in row.values()) for row in rows]
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with _output(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     if args.json:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
+        with _output(args.json) as fh:
             fh.write(_json_dumps(rows) + "\n")
     return EXIT_OK
 

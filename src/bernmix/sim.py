@@ -187,10 +187,10 @@ class ScenarioSpec:
     degrees: tuple | None = None
 
     def __post_init__(self):
-        for name in ("n", "n_cells", "replicates"):
+        for name, least in (("n", 1), ("n_cells", 1), ("replicates", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be at least 1 and an integer, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
         if self.degrees is not None:
             _checked_degrees(self.degrees)
 

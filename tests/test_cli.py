@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import bernmix.em
 import bernmix.likelihood
 import bernmix.sim
 from bernmix import BernsteinMixture, SimplexWeights, beta_cdf
-from bernmix.cli import _fmt, main, read_grouped_csv, read_model_json
+from bernmix.cli import _EVAL_BLOCK, _fmt, main, read_grouped_csv, read_model_json
 
 ROOT = Path(__file__).resolve().parent.parent
 CHICKEN_CSV = ROOT / "data" / "chicken_embryo.csv"
@@ -254,6 +255,21 @@ class TestEval:
         assert main(["fit", "--grouped", str(path), "--degree", "0", "--out", str(out)]) == 0
         return out
 
+    def random_model(self, tmp_path, seed, support=(0.0, 21.0)):
+        """A degree-13 model file with Dirichlet(1) weights drawn from seed."""
+        rng = np.random.default_rng(seed)
+        doc = {
+            "degree": 13,
+            "weights": [float(v) for v in rng.dirichlet(np.ones(14))],
+            "support": list(support),
+            "loglik": -1.0,
+            "converged": True,
+            "selection": None,
+        }
+        path = tmp_path / "m.json"
+        write(path, json.dumps(doc))
+        return path
+
     def test_point_eval(self, tmp_path, capsys):
         model = self.make_model(tmp_path)
         assert main(["eval", "--model", str(model), "--points", "1.0"]) == 0
@@ -308,17 +324,7 @@ class TestEval:
             assert cdf == mix.cdf(x)
 
     def test_mixed_points_match_per_point_eval(self, tmp_path, capsys):
-        rng = np.random.default_rng(9)
-        doc = {
-            "degree": 13,
-            "weights": [float(v) for v in rng.dirichlet(np.ones(14))],
-            "support": [0.0, 21.0],
-            "loglik": -1.0,
-            "converged": True,
-            "selection": None,
-        }
-        model = tmp_path / "m.json"
-        write(model, json.dumps(doc))
+        model = self.random_model(tmp_path, 9)
         points = ["-1", "0", "3.7", "1e9", "10.5", "21", "21.5", "0.001", "20.999"]
         code = main(["eval", "--model", str(model), "--points=" + ",".join(points)])
         captured = capsys.readouterr()
@@ -336,32 +342,77 @@ class TestEval:
         assert code == max(codes) == 4
 
     def test_output_is_the_per_row_fmt_spelling(self, tmp_path, capsys):
-        rng = np.random.default_rng(12)
-        doc = {
-            "degree": 13,
-            "weights": [float(v) for v in rng.dirichlet(np.ones(14))],
-            "support": [0.0, 21.0],
-            "loglik": -1.0,
-            "converged": True,
-            "selection": None,
-        }
-        model_path = tmp_path / "m.json"
-        write(model_path, json.dumps(doc))
+        model_path = self.random_model(tmp_path, 12)
         model = read_model_json(str(model_path))
+        block = _EVAL_BLOCK
         points = ["-0", "3.7", "-1e-300", "-5", "21", "1e308", "1e-310", "21.000000001", "-1e308"]
+        # outside points on both sides of the edge between the first two blocks
+        edge = [repr(v) for v in np.linspace(0.0, 21.0, block + 3).tolist()]
+        edge[block - 1], edge[block] = "-1e-300", "21.5"
         cases = [
-            (["--grid", "2000"], np.linspace(0.0, 21.0, 2001)),
-            (["--points=" + ",".join(points)], np.array([float(v) for v in points])),
+            (["--grid", str(g)], np.linspace(0.0, 21.0, g + 1))
+            for g in (1, 2000, block - 2, block - 1, block, block + 1, 3 * block + 5)
+        ] + [
+            (["--points=" + ",".join(p)], np.array([float(v) for v in p])) for p in (points, edge)
         ]
+        out = tmp_path / "eval.csv"
         for flags, xs in cases:
-            main(["eval", "--model", str(model_path)] + flags)
             inside = (xs >= 0.0) & (xs <= 21.0)
             dens, cdf = np.full(xs.shape, np.nan), np.full(xs.shape, np.nan)
             dens[inside], cdf[inside] = model.pdf(xs[inside]), model.cdf(xs[inside])
             want = "x,density,cdf\n" + "".join(
                 ",".join(map(_fmt, row)) + "\n" for row in zip(xs, dens, cdf)
             )
-            assert capsys.readouterr().out == want
+            code = 0 if inside.all() else 4
+            assert main(["eval", "--model", str(model_path)] + flags) == code
+            captured = capsys.readouterr()
+            assert captured.out == want, flags[0][:12]
+            outside = [f"point {float(x)!r} outside the support [0.0, 21.0]" for x in xs[~inside]]
+            assert captured.err.splitlines() == outside
+            assert main(["eval", "--model", str(model_path)] + flags + ["--out", str(out)]) == code
+            assert out.read_text(encoding="utf-8") == want, flags[0][:12]
+            assert capsys.readouterr() == ("", captured.err)
+
+    @pytest.mark.parametrize(
+        "support, grid",
+        [
+            ((0.0, 21.0), 3 * _EVAL_BLOCK + 5),
+            ((-3.7, 0.001), 5000),
+            ((1e-300, 3e-300), 4099),
+            # the step (b - a) / g underflows to zero, where linspace scales by
+            # b - a last; the density overflows there
+            pytest.param((0.0, 1e-320), 4097, marks=pytest.mark.filterwarnings("ignore:overflow")),
+        ],
+    )
+    def test_grid_x_is_linspace_bit_for_bit(self, tmp_path, support, grid):
+        # the blocks build their own points instead of slicing one linspace
+        model_path = self.random_model(tmp_path, 3, support)
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--model", str(model_path), "--grid", str(grid), "--out", str(out)]) == 0
+        xs = np.array([float(row.split(",")[0]) for row in out.read_text().splitlines()[1:]])
+        want = np.linspace(*support, grid + 1)
+        np.testing.assert_array_equal(xs.view(np.int64), want.view(np.int64))
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the whole CSV text used to be built first: a 48 MB peak at --grid
+        # 200000 against 5 MB at 20000; tracemalloc counts numpy's buffers
+        # and repeats exactly
+        model_path = self.random_model(tmp_path, 5)
+        out = tmp_path / "eval.csv"
+
+        def peak(grid):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert main(["eval", "--model", str(model_path), "--grid", str(grid), "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1] - start
+
+        tracemalloc.start()
+        try:
+            peak(2000)
+            small, large = peak(2000), peak(200_000)
+        finally:
+            tracemalloc.stop()
+        assert large - small <= 0.5e6, (small, large)
 
 
 class TestSimulate:
@@ -439,7 +490,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--replicates", "0"), ("--replicates", "-1"), ("--n", "0"), ("--cells", "0")],
+        [("--replicates", "0"), ("--replicates", "-1"), ("--n", "0"), ("--cells", "0"), ("--seed", "-1")],
     )
     def test_empty_run_is_input_error(self, tmp_path, capsys, flag, value):
         args = {"--n": "10", "--cells": "2", "--replicates": "1"}
@@ -450,7 +501,10 @@ class TestSimulate:
             + [token for pair in args.items() for token in pair]
         )
         assert code == 2
-        assert "must be at least 1" in capsys.readouterr().err
+        # a seed of -1 used to fail every replicate's draw and exit 5
+        name = {"--cells": "n_cells"}.get(flag, flag[2:])
+        least = 0 if flag == "--seed" else 1
+        assert f"{name} must be at least {least} and an integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degree_past_the_evaluator_is_input_error(self, tmp_path, capsys, monkeypatch):
@@ -475,6 +529,29 @@ class TestSimulate:
         ])
         assert code == 5
         assert "harness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "eval", "simulate --out", "simulate --json"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, grouped_csv, command):
+    # each ended in a FileNotFoundError traceback with exit 1, fit and
+    # simulate after all their work
+    missing = str(tmp_path / "missing" / "out")
+    model = tmp_path / "m.json"
+    assert main(["fit", "--grouped", str(grouped_csv), "--degree", "2", "--out", str(model)]) == 0
+    argv = {
+        "fit": ["fit", "--grouped", str(grouped_csv), "--degree", "2", "--out", missing],
+        "eval": ["eval", "--model", str(model), "--grid", "10", "--out", missing],
+        "simulate --out": ["simulate", "--scenario", "exp1", "--n", "10", "--cells", "2",
+                           "--replicates", "1", "--estimators", "kernel", "--out", missing],
+        "simulate --json": ["simulate", "--scenario", "exp1", "--n", "10", "--cells", "2",
+                            "--replicates", "1", "--estimators", "kernel",
+                            "--out", str(tmp_path / "mise.csv"), "--json", missing],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
 
 
 class TestLowerBound:
@@ -645,14 +722,17 @@ EVAL_MODEL = (
     degree=DEGREE_FLAGS,
     rounded=st.one_of(st.none(), st.integers(-1, 4)),
     eval_flag=EVAL_FLAGS,
+    unwritable=st.booleans(),
 )
 def test_every_exit_code_follows_the_contract(
-    command, csv_text, raw_text, support, degree, rounded, eval_flag
+    command, csv_text, raw_text, support, degree, rounded, eval_flag, unwritable
 ):
-    # README: 0 ok, 2 input error, 3 fit did not converge, 4 eval points
-    # outside the support; never a traceback
+    # README: 0 ok, 2 input error (an --out that cannot be written among
+    # them), 3 fit did not converge, 4 eval points outside the support;
+    # never a traceback
     with tempfile.TemporaryDirectory() as tmp:
-        grouped, raw, out = (os.path.join(tmp, name) for name in ("g.csv", "raw.txt", "m.json"))
+        grouped, raw = (os.path.join(tmp, name) for name in ("g.csv", "raw.txt"))
+        out = os.path.join(tmp, "missing", "m.json") if unwritable else os.path.join(tmp, "m.json")
         write(Path(grouped), csv_text)
         write(Path(raw), raw_text)
         support_flag = [] if support is None else ["--support", support]
@@ -683,6 +763,8 @@ def test_every_exit_code_follows_the_contract(
             assert code == 2, argv
         if command == "fit-raw" and rounded is not None and rounded < 1:
             assert code == 2, argv  # a grid density K must be positive
+        if unwritable and command != "lower-bound":
+            assert code == 2, argv
         if code == 2:
             assert stderr.getvalue(), argv
         if command == "eval":

@@ -154,14 +154,18 @@ class TestScenarioLaws:
 
 
 class TestScenarioSpec:
-    @pytest.mark.parametrize("field", ["n", "n_cells", "replicates"])
-    # n = 2.5 used to draw 2 points, and n_cells or replicates = 2.5 to end
-    # mise in a TypeError
-    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, "3"])
+    # n = 2.5 used to draw 2 points, n_cells, replicates or seed = 2.5 to end
+    # mise in a TypeError, and seed = -1 to fail every replicate's draw
+    @pytest.mark.parametrize(
+        "field, value",
+        [pytest.param(f, v, id=f"{v}-{f}") for f in ("n", "n_cells", "replicates") for v in (0, -1, 2.5, 2.0, "3")]
+        + [pytest.param("seed", v, id=f"{v}-seed") for v in (-1, 2.5, 2.0, "3")],
+    )
     def test_empty_runs_are_rejected(self, field, value):
         kwargs = dict(n=10, n_cells=5, replicates=3)
         kwargs[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        least = 0 if field == "seed" else 1
+        with pytest.raises(ValueError, match=f"{field} must be at least {least} and an integer"):
             ScenarioSpec("exp1", **kwargs)
 
     @pytest.mark.parametrize(
