@@ -33,7 +33,7 @@ import numpy as np
 from .em import _fit
 from .errors import DegenerateDataError, HarnessError, SelectionError
 from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
-from .model import BernsteinMixture, GroupedSample, SimplexWeights
+from .model import BernsteinMixture, GroupedSample, SimplexWeights, _checked_support
 from .select import _checked_degrees, lower_bound_degree, select_degree
 from .sim import _ESTIMATORS, ScenarioSpec, mise
 from . import __version__
@@ -179,9 +179,7 @@ def _parse_support(text):
         a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise CliInputError(f"--support must be 'a,b', got {text!r}") from exc
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise CliInputError(f"--support needs finite a < b, got {text!r}")
-    return (a, b)
+    return _checked_support((a, b), "--support")
 
 
 def _grouped_support(text, grouped):

@@ -25,10 +25,14 @@ SIMPLEX_SUM_TOL = 1e-9
 
 
 def _checked_support(support, name="support"):
-    """(a, b) as floats; ValueError unless both ends are finite and a < b."""
+    """(a, b) as floats; ValueError unless both ends and the width b - a
+    are finite and a < b (a width that overflows maps every point to NaN).
+    """
     a, b = float(support[0]), float(support[1])
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise ValueError(f"{name} needs finite ends a < b, got [{a}, {b}]")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b and math.isfinite(b - a)):
+        raise ValueError(
+            f"{name} needs finite ends a < b and a finite width b - a, got [{a}, {b}]"
+        )
     return a, b
 
 

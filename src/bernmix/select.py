@@ -114,11 +114,14 @@ def change_point(logliks):
     tau = 1..k and tau_hat is the smallest maximizer.  Boundary
     conventions: the vanishing final term at tau = k is taken at its
     limit 0 (so R(k) = 0), and zero gains inside logs are floored at
-    1e-12.
+    1e-12.  Raises ValueError for fewer than three logliks or any that
+    is not finite.
     """
     ll = np.asarray(logliks, dtype=float)
     if ll.ndim != 1 or ll.size < 3:
         raise ValueError("need at least three loglik values")
+    if not np.isfinite(ll).all():
+        raise ValueError("logliks must be finite")
     k = ll.size - 1
     total = ll[-1] - ll[0]
     if total <= GAIN_FLOOR:

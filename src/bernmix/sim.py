@@ -3,8 +3,9 @@
 Provides seeded generators for the six benchmark distributions, support
 truncation and rescaling to [0, 1], equal-width grouping, MISE estimation
 over replicates, and the acceptance-rejection closeness diagnostic
-(envelope constant c_m and the fraction of true-density draws acceptable
-as mixture draws).
+(envelope constant c_m = sup f_m/f, and the fraction of n true-density
+draws acceptable as mixture draws, drawn from its exact law
+Binomial(n, 1/c_m)/n; no draw from the truth is simulated).
 
 The truths of uniform01, exp1, pareto, normal01 and logistic are the
 baselines families their parametric MLE fits, at the true parameters
@@ -471,13 +472,6 @@ def best_mixture_approximation(pdf, m, nodes=512):
     return fit.weights
 
 
-def _inverse_cdf_sampler(grid, f, q):
-    """Draws at the uniforms q from the inverse trapezoid CDF of f's values on grid."""
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(grid))))
-    cdf /= cdf[-1]
-    return np.interp(q, cdf, grid)
-
-
 def acceptance_rejection_diag(true_pdf, weights, n, seed):
     """Envelope constant and acceptance fraction of a mixture against the truth.
 
@@ -488,18 +482,17 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
     the bracket is at most 1e-12 wide (4 vector evaluations, whose cost
     is their calls more than their points); c_m is the largest ratio
     seen.  A draw x from f is accepted as an f_m draw when
-    u <= f_m(x)/(c_m f(x)), the draws coming from the trapezoid inverse
-    CDF of the truth's values on the same grid (so the truth is evaluated
-    there once).  The generator seeded by seed gives n inverse-CDF
-    uniforms, then the n uniforms u; the pairs are evaluated in ascending
-    order of the first uniform, which lets the table lookups run in one
-    sweep and leaves the fraction equal to that of the unsorted pairs,
-    since every value depends on its own point alone.  Every f_m value is
-    BernsteinMixture(weights).pdf, so a truth that is that same pdf gives
-    c_m = 1 and accepts every draw.  Returns (c_m, accepted fraction).
-    Raises ValueError unless n is an integer of at least 1, before any
-    evaluation, and unless the truth is finite and strictly positive on
-    the grid, before any draw.
+    u <= f_m(x)/(c_m f(x)), which each independent draw passes with
+    probability int min(f, f_m/c_m) = 1/c_m; so the accepted count of n
+    draws is Binomial(n, 1/c_m), and the generator seeded by seed draws
+    it from that law (1/c_m capped at 1, for a c_m that rounds just
+    below it).  No draw from f is made: the truth is evaluated in the
+    envelope search alone.  Every f_m value is
+    BernsteinMixture(weights).pdf, so a truth that is that same pdf
+    gives c_m = 1 and accepts every draw.  Returns (c_m, accepted
+    fraction).  Raises ValueError unless n is an integer of at least 1,
+    before any evaluation, and unless the truth is finite and strictly
+    positive on the grid, before the count is drawn.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer of at least 1, got {n!r}")
@@ -518,12 +511,5 @@ def acceptance_rejection_diag(true_pdf, weights, n, seed):
         i = int(np.argmax(ratios))
         c_m = max(c_m, float(ratios[i]))
         lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
-
-    rng = np.random.default_rng(seed)
-    q = rng.uniform(size=n)
-    u = rng.uniform(size=n)
-    order = np.argsort(q)
-    x = _inverse_cdf_sampler(grid, f, q[order])
-    fx = np.asarray(true_pdf(x), dtype=float)
-    kept = float(np.mean(u[order] <= fm(x) / (c_m * fx)))
-    return c_m, kept
+    kept = np.random.default_rng(seed).binomial(n, min(1.0, 1.0 / c_m)) / n
+    return c_m, float(kept)

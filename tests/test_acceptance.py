@@ -270,6 +270,7 @@ def test_c08_acceptance_rejection_diagnostic():
     report(
         8,
         "c_m " + "->".join(f"{c:.4f}" for c in cs)
+        + ", 1/c_m " + "->".join(f"{1 / c:.4f}" for c in cs)
         + ", kept " + "->".join(f"{k:.4f}" for k in kepts)
         + f", {elapsed:.3f}s",
     )

@@ -554,6 +554,36 @@ def test_unwritable_output_is_input_error(tmp_path, capsys, grouped_csv, command
     assert captured.err == f"error: cannot write {missing}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "command", ["fit --raw", "fit --grouped", "lower-bound", "lower-bound --support", "eval"]
+)
+def test_overflowing_support_width_is_input_error(tmp_path, capsys, command):
+    # finite ends a < b whose width b - a is inf: the raw fit mapped every
+    # point to 0 and wrote weights [1, 0, 0] with exit 0, and eval printed
+    # NaN rows with exit 4
+    raw = tmp_path / "raw.txt"
+    write(raw, "0.1\n0.2\n")
+    wide = tmp_path / "wide.csv"
+    write(wide, "lower,upper,count\n-1e308,0,3\n0,1e308,4\n")
+    model = tmp_path / "wide.json"
+    write(model, json.dumps({"degree": 1, "weights": [0.5, 0.5], "support": [-1e308, 1e308],
+                             "loglik": -1.0, "converged": True, "selection": None}))
+    out = tmp_path / "m.json"
+    argv = {
+        "fit --raw": ["fit", "--raw", str(raw), "--support=-1e308,1e308", "--degree", "2",
+                      "--out", str(out)],
+        "fit --grouped": ["fit", "--grouped", str(wide), "--degree", "2", "--out", str(out)],
+        "lower-bound": ["lower-bound", "--grouped", str(wide)],
+        "lower-bound --support": ["lower-bound", "--grouped", str(wide), "--support=-1e308,1e308"],
+        "eval": ["eval", "--model", str(model), "--grid", "4"],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a finite width b - a, got [-1e+308, 1e+308]" in captured.err
+    assert not out.exists()
+
+
 class TestLowerBound:
     def test_prints_bound(self, capsys, tmp_path):
         path = tmp_path / "g.csv"

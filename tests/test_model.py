@@ -57,7 +57,8 @@ class TestToUnit:
 
 @pytest.mark.parametrize(
     "support",
-    [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (1.0, 0.0)],
+    [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan), (1.0, 1.0), (1.0, 0.0),
+     (-1e308, 1e308)],
 )
 def test_every_support_needs_finite_ordered_ends(support):
     w = SimplexWeights(np.array([0.5, 0.5]))

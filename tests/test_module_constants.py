@@ -1,9 +1,12 @@
-"""Every module-level constant of bernmix is read somewhere.
+"""Every module-level constant and private function of bernmix is read.
 
 An AST scan of every module under src/bernmix: each name a module binds
 at its top level by assignment must be listed in that module's __all__
 or be read (a loaded name or an attribute) somewhere in the package.  A
 constant that nothing reads documents a limit the code no longer keeps.
+Each top-level private function (_name) must be read somewhere in the
+package outside its own body: a helper nothing calls is dead code left
+behind by the caller it served.
 """
 
 import ast
@@ -54,3 +57,18 @@ def test_every_module_constant_is_read_or_exported():
         if name not in read and name not in _exported(tree)
     ]
     assert unread == []
+
+
+def test_every_private_function_is_referenced_elsewhere():
+    defs, read = [], set()
+    for path in sorted((ROOT / "src" / "bernmix").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            names = set(_reads(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.discard(node.name)  # a call of itself does not count
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defs.append((path.relative_to(ROOT).as_posix(), node.name, node.lineno))
+            read |= names
+    assert defs
+    assert [d for d in defs if d[1] not in read] == []

@@ -130,6 +130,16 @@ class TestChangePoint:
         with pytest.raises(SelectionError):
             change_point([3.0, 3.0, 3.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "logliks",
+        [[0.0, np.nan, 1.0, 2.0], [-np.inf, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, np.inf]],
+        ids=["nan", "-inf-first", "inf-last"],
+    )
+    def test_non_finite_logliks_raise(self, logliks):
+        # each returned tau = 1 without a word
+        with pytest.raises(ValueError, match="logliks must be finite"):
+            change_point(logliks)
+
     def test_randomized_brute_force_agreement(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -33,6 +34,12 @@ from bernmix.sim import (
 
 def spec_for(tag, n=1000, cells=10, replicates=3, seed=0):
     return ScenarioSpec(tag, n=n, n_cells=cells, replicates=replicates, seed=seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _normal01_fit(m):
+    """The diagnostic ladder's population fit of normal01 at degree m."""
+    return best_mixture_approximation(true_unit_pdf(spec_for("normal01")), m)
 
 
 class TestGenerators:
@@ -425,12 +432,11 @@ class TestAcceptanceRejection:
     @pytest.mark.parametrize("seed", [808, 7])
     def test_bracket_search_matches_the_33_point_search(self, seed):
         # oracle: the diagnostic with the bracket search refined by 33
-        # points a sweep (8 sweeps), where it now takes 513 (4 sweeps)
+        # points a sweep (8 sweeps), where it now takes 513 (4 sweeps),
+        # and the accepted count drawn from Binomial(n, 1/c_m)
         f = true_unit_pdf(spec_for("normal01"))
         grid = np.linspace(0.0, 1.0, 4001)
         fg = f(grid)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (fg[1:] + fg[:-1]) * np.diff(grid))))
-        cdf /= cdf[-1]
         for m in (4, 8, 16, 32):
             w = best_mixture_approximation(f, m, nodes=512)
             fm = BernsteinMixture(w).pdf
@@ -444,10 +450,7 @@ class TestAcceptanceRejection:
                 i = int(np.argmax(ratios))
                 c_old = max(c_old, float(ratios[i]))
                 lo, hi = t[max(i - 1, 0)], t[min(i + 1, t.size - 1)]
-            rng = np.random.default_rng(seed)
-            q, u = rng.uniform(size=10_000), rng.uniform(size=10_000)
-            x = np.interp(q, cdf, grid)
-            kept_old = float(np.mean(u <= fm(x) / (c_old * f(x))))
+            kept_old = np.random.default_rng(seed).binomial(10_000, min(1.0, 1.0 / c_old)) / 10_000
             c, kept = acceptance_rejection_diag(f, w, n=10_000, seed=seed)
             assert abs(c - c_old) <= 1e-15 * c_old, m
             assert kept == kept_old, m
@@ -484,7 +487,7 @@ class TestAcceptanceRejection:
         def no_draw(*args):
             raise AssertionError("a draw was made")
 
-        monkeypatch.setattr(bernmix.sim, "_inverse_cdf_sampler", no_draw)
+        monkeypatch.setattr(bernmix.sim.np.random, "default_rng", no_draw)
         w = SimplexWeights(np.array([0.6, 0.4]))
         pdf = lambda t: np.where(np.asarray(t, float) > 0.5, value, 1.0)
         with pytest.raises(ValueError, match="finite and strictly positive"):
@@ -509,35 +512,49 @@ class TestAcceptanceRejection:
             best_mixture_approximation(f, 16)
 
     @pytest.mark.parametrize("n", [1, 7, 10_000])
-    @pytest.mark.parametrize("m", [4, 16, 32])
-    def test_sorted_pairs_keep_the_unsorted_estimate(self, m, n):
-        # oracle: the draw order before the pairs were sorted, x from the
-        # first n uniforms and u from the next n, evaluated as drawn
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_kept_is_the_seeded_binomial_draw(self, m, n):
         f = true_unit_pdf(spec_for("normal01"))
-        w = best_mixture_approximation(f, m)
-        fm = BernsteinMixture(w).pdf
-        grid = np.linspace(0.0, 1.0, 4001)
-        fg = f(grid)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (fg[1:] + fg[:-1]) * np.diff(grid))))
-        cdf /= cdf[-1]
+        w = _normal01_fit(m)
         for seed in (0, 5, 808, 2024):
             c, kept = acceptance_rejection_diag(f, w, n=n, seed=seed)
-            rng = np.random.default_rng(seed)
-            x = np.interp(rng.uniform(size=n), cdf, grid)
-            u = rng.uniform(size=n)
-            assert kept == float(np.mean(u <= fm(x) / (c * f(x)))), seed
+            assert kept == np.random.default_rng(seed).binomial(n, min(1.0, 1.0 / c)) / n, seed
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32])
+    def test_monte_carlo_acceptance_matches_the_exact_rate(self, m):
+        # oracle: exact draws from the truth (the scenario's own sampler),
+        # each accepted when u <= f_m(x) / (c_m f(x)); the accepted share
+        # and the diagnostic's kept both lie within 4 standard errors of
+        # the exact rate 1/c_m
+        n = 20_000
+        spec = spec_for("normal01", n=n, seed=11)
+        f = true_unit_pdf(spec)
+        w = _normal01_fit(m)
+        c, _ = acceptance_rejection_diag(f, w, n=1, seed=0)
+        rate = 1.0 / c
+        four_se = 4.0 * math.sqrt(rate * (1.0 - rate) / n)
+        x = generate(spec, 0).values
+        u = np.random.default_rng(12).uniform(size=n)
+        accepted = np.mean(u <= BernsteinMixture(w).pdf(x) / (c * f(x)))
+        assert abs(accepted - rate) <= four_se, (accepted, rate)
+        for seed in (808, 2024):
+            _, kept = acceptance_rejection_diag(f, w, n=n, seed=seed)
+            assert abs(kept - rate) <= four_se, (seed, kept, rate)
 
     def test_truth_is_evaluated_once_on_the_grid(self):
+        # then once in each of the four 513-point sweeps, and at no draw
         f = true_unit_pdf(spec_for("normal01"))
         grid = np.linspace(0.0, 1.0, 4001)
-        calls = []
+        for m in (4, 8, 16, 32):
+            calls = []
 
-        def recorded(t):
-            calls.append(np.array(t, dtype=float))
-            return f(t)
+            def recorded(t):
+                calls.append(np.array(t, dtype=float))
+                return f(t)
 
-        acceptance_rejection_diag(recorded, best_mixture_approximation(f, 8), n=500, seed=2)
-        assert sum(np.array_equal(t, grid) for t in calls) == 1
+            acceptance_rejection_diag(recorded, _normal01_fit(m), n=10_000, seed=2)
+            assert sum(np.array_equal(t, grid) for t in calls) == 1, m
+            assert [t.size for t in calls] == [4001] + 4 * [513], m
 
     @pytest.mark.parametrize("n", [0, -3, 2.5, "10"])
     def test_draw_count_must_be_a_positive_integer(self, n):
