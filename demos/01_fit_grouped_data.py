@@ -8,7 +8,7 @@ on a coarse grid.  Run:  python demos/01_fit_grouped_data.py
 import numpy as np
 
 import bernmix as bm
-from bernmix.sim import true_unit_pdf
+from bernmix.sim import GRID, true_unit_pdf
 
 try:
     import matplotlib.pyplot as plt
@@ -37,10 +37,7 @@ print("\n   t    fitted    true")
 for t in grid:
     print(f"{t:5.2f}  {mix.pdf(t):8.4f}  {truth(t):8.4f}")
 
-ise = bm.integrated_squared_error(
-    mix.pdf(np.linspace(0, 1, 2001)), truth(np.linspace(0, 1, 2001)),
-    np.linspace(0, 1, 2001),
-)
+ise = bm.integrated_squared_error(mix.pdf(GRID), truth(GRID))
 print(f"\nintegrated squared error (unit scale): {ise:.5f}")
 
 if HAVE_MPL:

@@ -64,8 +64,10 @@ class KernelDensity:
         self.bandwidth = float(bandwidth)
         if self.values.size == 0:
             raise ValueError("need at least 1 observation")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not np.isfinite(self.values).all():
+            raise ValueError("observations must be finite")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+            raise ValueError(f"bandwidth must be finite and positive, got {self.bandwidth}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -87,12 +89,9 @@ class KernelDensity:
         return float(out[0]) if scalar else out.reshape(x.shape)
 
 
-def kernel_density(data, bandwidth="rule"):
-    """Kernel estimate for a RawSample; bandwidth="rule" applies the rule of thumb."""
-    if data.n < 2:
-        raise ValueError("need at least 2 observations")
-    h = rule_of_thumb_bandwidth(data.values) if bandwidth == "rule" else float(bandwidth)
-    return KernelDensity(data.values, h)
+def kernel_density(data):
+    """Kernel estimate for a RawSample at the rule-of-thumb bandwidth."""
+    return KernelDensity(data.values, rule_of_thumb_bandwidth(data.values))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Monte Carlo harness for the density-estimator comparisons.
 
 Provides seeded generators for the six benchmark distributions, support
-truncation and rescaling to [0, 1], equal-width grouping, MISE estimation
-over replicates, and the acceptance-rejection closeness diagnostic
+truncation (each scenario's own interval) and rescaling to [0, 1],
+equal-width grouping, MISE estimation over replicates, and the
+acceptance-rejection closeness diagnostic
 (envelope constant c_m = sup f_m/f, and the fraction of n true-density
 draws acceptable as mixture draws, drawn from its exact law
 Binomial(n, 1/c_m)/n; no draw from the truth is simulated).
@@ -16,9 +17,10 @@ k uniforms) is written here.
 Every mixture value here (the MBLE curve scored by the ISE, and f_m in
 the diagnostic) is BernsteinMixture.pdf, the matrix-free Horner sum of
 the Bernstein form; no basis matrix is built to evaluate a fitted curve.
-The ISE is composite Simpson's rule in numpy, one dot product with the
-grid's cached Simpson weights.  The harness loads numpy and the standard
-library only.
+Every curve is scored on one grid, GRID (2001 equally spaced points on
+[0, 1]), and the ISE is one dot product with its composite Simpson
+weights, both built once at import.  The harness loads numpy and the
+standard library only.
 
 Determinism contract: replicate r of a run with seed s uses the generator
 seeded by (s, r), and replicate results are reduced in replicate order,
@@ -36,7 +38,7 @@ from . import baselines
 from .em import _fit, em_step
 from .errors import HarnessError, SelectionError
 from .likelihood import RawSample, _problems
-from .model import BernsteinMixture, GroupedSample, _checked_support
+from .model import BernsteinMixture, GroupedSample
 from .select import _checked_degrees, select_degree
 
 __all__ = [
@@ -49,6 +51,7 @@ __all__ = [
     "integrated_squared_error",
     "acceptance_rejection_diag",
     "SCENARIO_TAGS",
+    "GRID",
 ]
 
 PARETO_SHAPE = 4.0
@@ -62,6 +65,9 @@ LOGISTIC_SCALE = 0.5
 LOGISTIC_TRUNCATION = (-2.9619, 2.9619)
 NORMAL_TRUNCATION = (-4.0, 4.0)
 EXP_TRUNCATION = (0.0, 4.0)
+# the alternating Irwin-Hall sum of nn<k> cancels terms up to k^k/k!: past
+# this k its rounding error grows fast (1.4e-4 of the peak density at k = 24)
+MAX_IRWIN_HALL_K = 12
 
 SCENARIO_TAGS = ("uniform01", "exp1", "pareto", "nn2", "nn3", "nn4", "normal01", "logistic")
 
@@ -70,6 +76,15 @@ SCENARIO_TAGS = ("uniform01", "exp1", "pareto", "nn2", "nn3", "nn4", "normal01",
 WEIGHT_FLOOR = 1e-12
 
 MAX_FAILURE_SHARE = 0.05
+
+# every curve is scored on this grid; its composite Simpson weights are
+# h/3 [1, 4, 2, 4, ..., 2, 4, 1] with h = 1/2000
+GRID = np.linspace(0.0, 1.0, 2001)
+_SIMPSON_WEIGHTS = np.where(np.arange(GRID.size) % 2 == 1, 4.0, 2.0)
+_SIMPSON_WEIGHTS[[0, -1]] = 1.0
+_SIMPSON_WEIGHTS /= 3.0 * (GRID.size - 1)
+GRID.flags.writeable = False
+_SIMPSON_WEIGHTS.flags.writeable = False
 
 
 def _irwin_hall_sum(s, k, power):
@@ -140,6 +155,7 @@ def scenario_distribution(tag):
     """Look up one of the benchmark distributions by tag.
 
     Tags: uniform01, exp1, pareto, nn<k> (e.g. nn4), normal01, logistic.
+    nn<k> needs 1 <= k <= MAX_IRWIN_HALL_K; any other tag raises ValueError.
     """
     if tag in _FAMILY_LAWS:
         factory, params, draw, truncation = _FAMILY_LAWS[tag]
@@ -154,8 +170,8 @@ def scenario_distribution(tag):
         )
     if tag.startswith("nn"):
         k = int(tag[2:])
-        if k < 1:
-            raise ValueError(f"unknown scenario tag {tag!r}")
+        if not 1 <= k <= MAX_IRWIN_HALL_K:
+            raise ValueError(f"scenario tag {tag!r}: nn<k> needs 1 <= k <= {MAX_IRWIN_HALL_K}")
         return ScenarioDistribution(
             tag,
             pdf=lambda x, k=k: k * np.clip(
@@ -175,8 +191,8 @@ def scenario_distribution(tag):
 class ScenarioSpec:
     """One benchmark configuration.
 
-    truncation=None means the scenario's default interval; degrees=None lets
-    the scan use its default set, and others are checked as it checks them.
+    The truncation is the scenario's own interval; degrees=None lets the
+    scan use its default set, and others are checked as it checks them.
     """
 
     distribution: str
@@ -184,7 +200,6 @@ class ScenarioSpec:
     n_cells: int
     replicates: int = 100
     seed: int = 0
-    truncation: tuple | None = None
     degrees: tuple | None = None
 
     def __post_init__(self):
@@ -194,11 +209,6 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be at least {least} and an integer, got {value!r}")
         if self.degrees is not None:
             _checked_degrees(self.degrees)
-
-    def resolved_truncation(self):
-        if self.truncation is not None:
-            return _checked_support(self.truncation, "truncation")
-        return scenario_distribution(self.distribution).truncation
 
 
 @dataclass(frozen=True)
@@ -221,7 +231,7 @@ def generate(spec, replicate):
     law exact; the generator is seeded by (spec.seed, replicate).
     """
     dist = scenario_distribution(spec.distribution)
-    a, b = spec.resolved_truncation()
+    a, b = dist.truncation
     rng = np.random.default_rng([spec.seed, replicate])
     kept = []
     need = int(spec.n)
@@ -253,7 +263,7 @@ def group(data, n_cells):
 def true_unit_pdf(spec):
     """Density of the truncated scenario law rescaled to the unit interval."""
     dist = scenario_distribution(spec.distribution)
-    a, b = spec.resolved_truncation()
+    a, b = dist.truncation
     mass = float(dist.cdf(b) - dist.cdf(a))
     width = b - a
 
@@ -263,112 +273,70 @@ def true_unit_pdf(spec):
     return pdf
 
 
-@functools.lru_cache(maxsize=8)
-def _simpson_weights(grid_bytes):
-    """Weights w with w @ y = composite Simpson's rule of y on the grid.
+def integrated_squared_error(fhat_vals, f_vals, weighted=False):
+    """Composite-Simpson ISE of a fitted curve against the truth on GRID.
 
-    The grid comes as the bytes of a float64 array (so the read-only
-    result can be cached: the MISE harness scores every replicate on one
-    grid).  It must be strictly increasing; its spacing may vary.  Pairs
-    of intervals get the three-point rule for their spacings h0, h1; with
-    an odd number of intervals the last one gets Cartwright's correction,
-    and two points get the trapezoid.  These are the weights of
-    scipy.integrate.simpson.
+    Both curves are given at the points of GRID; the rule is one dot
+    product of the squared error with GRID's Simpson weights.
     """
-    x = np.frombuffer(grid_bytes)
-    h = np.diff(x)
-    if not np.all(h > 0.0):
-        raise ValueError("grid must be strictly increasing")
-    w = np.zeros(x.size)
-    pairs = (x.size - 1) // 2
-    h0, h1 = h[: 2 * pairs : 2], h[1 : 2 * pairs : 2]
-    sixth = (h0 + h1) / 6.0
-    w[: 2 * pairs : 2] += sixth * (2.0 - h1 / h0)
-    w[1 : 2 * pairs : 2] += sixth * (h0 + h1) ** 2 / (h0 * h1)
-    w[2 : 2 * pairs + 1 : 2] += sixth * (2.0 - h0 / h1)
-    if x.size == 2:
-        w += 0.5 * h[0]
-    elif x.size % 2 == 0:
-        h0, h1 = h[-2], h[-1]
-        w[-1] += (2.0 * h1 * h1 + 3.0 * h0 * h1) / (6.0 * (h0 + h1))
-        w[-2] += (h1 * h1 + 3.0 * h0 * h1) / (6.0 * h0)
-        w[-3] -= h1**3 / (6.0 * h0 * (h0 + h1))
-    w.flags.writeable = False
-    return w
-
-
-def integrated_squared_error(fhat_vals, f_vals, grid, weighted=False):
-    """Composite-Simpson ISE of a fitted curve against the truth on a grid.
-
-    The grid must be one-dimensional and strictly increasing (ValueError
-    otherwise); its spacing may vary.  The rule is one dot product of the
-    squared error with the grid's Simpson weights.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1:
-        raise ValueError("grid must be one-dimensional")
     diff2 = (np.asarray(fhat_vals, float) - f_vals) ** 2
     if weighted:
         diff2 = diff2 / np.maximum(f_vals, WEIGHT_FLOOR)
-    return float(_simpson_weights(grid.tobytes()) @ diff2)
+    return float(_SIMPSON_WEIGHTS @ diff2)
 
 
 _ESTIMATORS = ("mble", "kernel", "parametric", "truth")
 
 
-def _fit_curve(kind, spec, data, grid):
-    """Fitted density values on the unit grid; returns (values, degree).
+def _fit_curve(kind, spec, data):
+    """Fitted density values on GRID; returns (values, degree).
 
     kind is one of _ESTIMATORS, checked by mise before any replicate runs.
     """
-    a, b = spec.resolved_truncation()
     if kind == "mble":
         grouped = group(data, spec.n_cells)
         trace = select_degree(grouped, (0.0, 1.0), degrees=spec.degrees)
-        return BernsteinMixture(trace.best_fit.weights).pdf(grid), trace.m_hat
+        return BernsteinMixture(trace.best_fit.weights).pdf(GRID), trace.m_hat
     if kind == "kernel":
-        return baselines.kernel_density(data, "rule")(grid), None
+        return baselines.kernel_density(data)(GRID), None
     if kind == "parametric":
+        dist = scenario_distribution(spec.distribution)
+        a, b = dist.truncation
         grouped = group(data, spec.n_cells)
         bp_orig = a + grouped.breakpoints * (b - a)
         fit = baselines.parametric_mle_grouped(
-            scenario_distribution(spec.distribution).parametric_family(),
-            GroupedSample(bp_orig, grouped.counts),
+            dist.parametric_family(), GroupedSample(bp_orig, grouped.counts)
         )
-        return fit.pdf(a + grid * (b - a)) * (b - a), None
-    return true_unit_pdf(spec)(grid), None
+        return fit.pdf(a + GRID * (b - a)) * (b - a), None
+    return true_unit_pdf(spec)(GRID), None
 
 
-def mise(spec, estimator, points=2001):
+def mise(spec, estimator):
     """Monte Carlo MISE of one estimator under one scenario.
 
-    Each replicate is generated, fitted, and scored by the Simpson ISE of
-    the fitted curve against the true truncated-rescaled density; the
-    quadrature runs on the unit scale and the plain MISE is then reported
-    in original-scale units (divide by the truncation width) so values
-    are comparable across truncations.  The weighted MISE (weight 1/f) is
-    scale-invariant and needs no conversion.  Replicate fit failures
-    (ValueError, SelectionError, FloatingPointError) are skipped and
-    counted; more than 5% of them aborts the run.  Any other exception
-    propagates.  An unknown estimator or a grid of fewer than 2 points
-    (which has no width to integrate over) raises ValueError before any
-    replicate runs.
+    Each replicate is generated, fitted, and scored by the Simpson ISE on
+    GRID of the fitted curve against the true truncated-rescaled density;
+    the quadrature runs on the unit scale and the plain MISE is then
+    reported in original-scale units (divide by the truncation width) so
+    values are comparable across truncations.  The weighted MISE (weight
+    1/f) is scale-invariant and needs no conversion.  Replicate fit
+    failures (ValueError, SelectionError, FloatingPointError) are skipped
+    and counted; more than 5% of them aborts the run.  Any other exception
+    propagates.  An unknown estimator or scenario raises ValueError before
+    any replicate runs.
     """
     if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if points < 2:
-        raise ValueError(f"points must be at least 2, got {points}")
-    grid = np.linspace(0.0, 1.0, points)
-    f_true = true_unit_pdf(spec)(grid)
-    a, b = spec.resolved_truncation()
+    f_true = true_unit_pdf(spec)(GRID)
+    a, b = scenario_distribution(spec.distribution).truncation
     width = b - a
 
     def one(rep):
         data = generate(spec, rep)
-        fhat, degree = _fit_curve(estimator, spec, data, grid)
+        fhat, degree = _fit_curve(estimator, spec, data)
         return (
-            integrated_squared_error(fhat, f_true, grid) / width,
-            integrated_squared_error(fhat, f_true, grid, weighted=True),
+            integrated_squared_error(fhat, f_true) / width,
+            integrated_squared_error(fhat, f_true, weighted=True),
             degree,
         )
 

@@ -25,14 +25,14 @@ from bernmix import (
 
 class TestKernelDensity:
     def test_two_point_value(self):
-        kd = kernel_density(RawSample(np.array([0.4, 0.6])), bandwidth=0.1)
+        kd = KernelDensity(np.array([0.4, 0.6]), 0.1)
         expected = 10.0 * math.exp(-0.5) / math.sqrt(2 * math.pi)
         assert kd(0.5) == pytest.approx(expected, rel=1e-12)
 
     def test_mass_close_to_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=200)
-        kd = kernel_density(RawSample(x, (-10, 10)), "rule")
+        kd = kernel_density(RawSample(x, (-10, 10)))
         h = kd.bandwidth
         grid = np.linspace(x.min() - 5 * h, x.max() + 5 * h, 4001)
         assert simpson(kd(grid), x=grid) > 0.999
@@ -46,6 +46,16 @@ class TestKernelDensity:
         expected = 0.9 * min(sd, iqr / 1.34) * 100 ** (-0.2)
         assert rule_of_thumb_bandwidth(x) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, bandwidth",
+        [([0.4, 0.6], math.nan), ([0.4, 0.6], math.inf), ([0.4, 0.6], "nan"), ([0.4, 0.6], 0.0),
+         ([0.4, 0.6], -0.1), ([0.4, math.nan], 0.1), ([math.inf, 0.6], 0.1)],
+    )
+    def test_non_finite_or_nonpositive_inputs_rejected(self, values, bandwidth):
+        # a NaN bandwidth gave NaN densities, an infinite one 0 everywhere
+        with pytest.raises(ValueError, match="must be finite"):
+            KernelDensity(np.array(values, dtype=float), bandwidth)
+
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):
             rule_of_thumb_bandwidth(np.full(10, 3.3))
@@ -56,7 +66,7 @@ class TestKernelDensity:
         # 8000 observations make blocks of 500 points, so 1201 points span three
         rng = np.random.default_rng(17)
         xs = rng.beta(2.0, 5.0, size=8000)
-        kd = kernel_density(RawSample(xs), "rule")
+        kd = kernel_density(RawSample(xs))
         h = kd.bandwidth
         grid = np.linspace(0.0, 1.0, 1201)
         want = np.concatenate([

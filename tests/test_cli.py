@@ -488,6 +488,18 @@ class TestSimulate:
         assert scans == []
         assert not (tmp_path / "y.csv").exists()
 
+    @pytest.mark.parametrize("tag", ["nn13", "nn40", "nn1100"])
+    def test_irwin_hall_past_its_exact_range_is_input_error(self, tmp_path, capsys, tag):
+        # nn40 wrote a kernel MISE of 5.9e9 with exit 0; nn1100 ended in an
+        # OverflowError traceback
+        out = tmp_path / "x.csv"
+        assert main([
+            "simulate", "--scenario", tag, "--n", "10", "--cells", "2", "--replicates", "1",
+            "--estimators", "truth,kernel", "--out", str(out),
+        ]) == 2
+        assert "k <= 12" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--replicates", "0"), ("--replicates", "-1"), ("--n", "0"), ("--cells", "0"), ("--seed", "-1")],

@@ -10,7 +10,6 @@ from bernmix import (
     GroupedSample,
     RawSample,
     RoundedSample,
-    ScenarioSpec,
     SimplexWeights,
     basis_matrix,
     beta_cdf,
@@ -68,7 +67,6 @@ def test_every_support_needs_finite_ordered_ends(support):
         lambda: BernsteinMixture(w, support).pdf(1.0),
         lambda: select_degree(RawSample([0.2, 0.5, 0.7], support)),
         lambda: rounded_to_grouped(RoundedSample([0.5, 1.0], 2), support),
-        lambda: ScenarioSpec("exp1", 10, 2, truncation=support).resolved_truncation(),
         lambda: lower_bound_degree(g, support),
     )
     for use in uses:
