@@ -22,10 +22,8 @@ from .model import (
 )
 from .likelihood import (
     RawSample,
-    RoundedSample,
     loglik_grouped,
     loglik_raw,
-    loglik_rounded,
     rounded_to_grouped,
 )
 from .em import EmConfig, FitReport, em_grouped, em_raw
@@ -73,10 +71,8 @@ __all__ = [
     "cell_probabilities",
     "to_unit",
     "RawSample",
-    "RoundedSample",
     "loglik_grouped",
     "loglik_raw",
-    "loglik_rounded",
     "rounded_to_grouped",
     "EmConfig",
     "FitReport",

@@ -32,7 +32,7 @@ import numpy as np
 
 from .em import _fit
 from .errors import DegenerateDataError, HarnessError, SelectionError
-from .likelihood import RawSample, RoundedSample, _problems, rounded_to_grouped
+from .likelihood import RawSample, _problems, rounded_to_grouped
 from .model import BernsteinMixture, GroupedSample, SimplexWeights, _checked_support
 from .select import _checked_degrees, lower_bound_degree, select_degree
 from .sim import _ESTIMATORS, ScenarioSpec, mise
@@ -271,9 +271,7 @@ def cmd_fit(args):
             raise CliInputError("--raw needs an explicit --support")
         support = _parse_support(args.support)
         if args.rounded is not None:
-            data = rounded_to_grouped(
-                RoundedSample(values, args.rounded), support
-            )
+            data = rounded_to_grouped(values, args.rounded, support)
         else:
             data = RawSample(values, support)
 

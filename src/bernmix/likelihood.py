@@ -1,4 +1,4 @@
-"""Bernstein loglikelihood for raw, grouped, and rounded data.
+"""Bernstein loglikelihood for raw and grouped data.
 
 This module owns the weighted-row problem that every fit and every loglik
 reads: the loglik of mixture weights p is sum_i w_i log (A p)_i, where
@@ -15,6 +15,8 @@ only the previous matrix is held.
 - Grouped data: one row per populated cell, its basis masses, weighted
   by its count.  Empty cells carry nothing and are dropped when the
   problem is built, so no solver sees a row of weight 0.
+- Rounded data: grouped data, one count per value in its rounding cell
+  (rounded_to_grouped builds the partition of the cells it populates).
 - A known density (the population fit of the acceptance-rejection
   diagnostic): one row per quadrature atom, its basis densities,
   weighted by its quadrature mass.
@@ -42,10 +44,8 @@ from .model import (
 
 __all__ = [
     "RawSample",
-    "RoundedSample",
     "loglik_raw",
     "loglik_grouped",
-    "loglik_rounded",
     "rounded_to_grouped",
 ]
 
@@ -75,37 +75,6 @@ class RawSample:
 
     def unit_values(self):
         return to_unit(self.values, self.support)
-
-
-@dataclass(frozen=True, eq=False)
-class RoundedSample:
-    """Observations recorded on the grid i/K (round-half-up bookkeeping).
-
-    Each value must be an integer multiple of 1/K within 1e-12; the grid
-    density K determines the implied cells ((i-1/2)/K, (i+1/2)/K].
-    """
-
-    values: np.ndarray
-    grid_density: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        k = self.grid_density
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"grid density must be a positive integer, got {k!r}")
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        scaled = values * k
-        if np.any(np.abs(scaled - np.round(scaled)) > 1e-12):
-            raise ValueError("every value must be an integer multiple of 1/K")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "grid_density", int(k))
-
-    @property
-    def n(self):
-        return self.values.size
 
 
 def _problems(data, support, m):
@@ -217,29 +186,36 @@ def loglik_grouped(weights, grouped, support):
     return _loglik(*_problem(grouped, support, weights.m), weights.p)
 
 
-def rounded_to_grouped(data, support):
-    """Expand rounded values into the grouped sample they imply.
+def rounded_to_grouped(values, grid_density, support):
+    """The GroupedSample of values rounded to the grid i/K, K = grid_density.
 
-    Builds the full contiguous tiling of [a, b] by the rounding cells
-    ((i-1/2)/K, (i+1/2)/K], clipping the outermost cells to the support;
-    grid points without observations keep zero counts so the partition
-    always spans the support.
+    Each value i/K is one count in its rounding cell ((i-1/2)/K, (i+1/2)/K]
+    clipped to the support; each run of empty rounding cells around the
+    populated ones is one empty cell, so n values make at most 2n + 1 cells.
+    ValueError unless K is a positive integer with K max(|a|, |b|) < 2**52
+    (so i +- 1/2 is exact) and the values are a nonempty finite 1-d vector
+    of multiples of 1/K (within 1e-12) inside the support.
     """
+    values = np.asarray(values, dtype=float)
+    k = grid_density
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"grid density must be a positive integer, got {k!r}")
+    if values.ndim != 1 or values.size == 0:
+        raise ValueError("values must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
     a, b = _checked_support(support)
-    k = data.grid_density
-    vals = data.values
-    if vals.min() < a or vals.max() > b:
+    if k >= 2**52 / max(abs(a), abs(b)):
+        raise ValueError(f"grid density {k} is too fine for the support: need K max(|a|, |b|) < 2**52")
+    scaled = values * k
+    if np.any(np.abs(scaled - np.round(scaled)) > 1e-12):
+        raise ValueError("every value must be an integer multiple of 1/K")
+    if values.min() < a or values.max() > b:
         raise ValueError(f"rounded values outside the support [{a}, {b}]")
-    # smallest/largest grid index whose cell intersects (a, b)
-    i_lo = int(np.floor(a * k - 0.5)) + 1
-    i_hi = int(np.ceil(b * k + 0.5)) - 1
-    edges = (np.arange(i_lo, i_hi) + 0.5) / k
-    breakpoints = np.concatenate(([a], edges, [b]))
-    idx = np.round(vals * k).astype(int) - i_lo
-    counts = np.bincount(idx, minlength=i_hi - i_lo + 1)
-    return GroupedSample(breakpoints, counts)
-
-
-def loglik_rounded(weights, data, support):
-    """Rounded-data loglik: the grouped loglik on the rounding partition."""
-    return loglik_grouped(weights, rounded_to_grouped(data, support), support)
+    idx, counts = np.unique(np.round(scaled).astype(np.int64), return_counts=True)
+    lower = np.maximum((idx - 0.5) / k, a)
+    upper = np.minimum((idx + 0.5) / k, b)
+    breakpoints = np.unique(np.concatenate(([a], lower, upper, [b])))
+    cell_counts = np.zeros(breakpoints.size - 1, dtype=np.int64)
+    cell_counts[np.searchsorted(breakpoints, lower)] = counts
+    return GroupedSample(breakpoints, cell_counts)

@@ -90,7 +90,8 @@ class GroupedSample:
     """Counts over a contiguous partition t_0 < t_1 < ... < t_N.
 
     counts[i] is the number of observations in the half-open cell
-    (t_i, t_{i+1}]; individual values are unobserved.
+    (t_i, t_{i+1}]; individual values are unobserved.  Their total is
+    below 2**53, the largest a float (a fit's cell weight) counts by ones.
     """
 
     breakpoints: np.ndarray
@@ -107,10 +108,14 @@ class GroupedSample:
             raise ValueError("breakpoints must be strictly increasing")
         if counts.ndim != 1 or counts.size != bp.size - 1:
             raise ValueError("counts must have one entry per cell")
+        if counts.dtype.kind not in "biuf":
+            raise ValueError(f"counts must be numbers, got dtype {counts.dtype}")
         if not np.all(np.isfinite(counts)):
             raise ValueError("counts must be finite")
         if np.any(counts < 0) or np.any(counts != np.floor(counts)):
             raise ValueError("counts must be nonnegative integers")
+        if counts.sum(dtype=float) >= 2**53:  # exact: a float sum reaches 2**53 iff the total does
+            raise ValueError("total count must be below 2**53")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "counts", counts.astype(np.int64))
 

@@ -141,8 +141,8 @@ def change_point(logliks):
 
 
 def default_degrees(bound):
-    """Degree set used when the caller gives none: bound-5 .. bound+30."""
-    lo = max(1, bound - 5)
+    """Degrees used when the caller gives none: bound-5 (at least 0) .. bound+30."""
+    lo = max(0, bound - 5)
     return np.arange(lo, bound + 31)
 
 
@@ -194,7 +194,7 @@ def select_degree(data, support=None, degrees=None):
         and a support that differs from it raises ValueError.
     degrees : sequence of int, optional
         Consecutive degrees m_0..m_0+k with k >= 2 (_checked_degrees, before
-        the first fit), by default the moment lower bound - 5 (at least 1)
+        the first fit), by default the moment lower bound - 5 (at least 0)
         through bound + 30.
 
     Returns

@@ -368,16 +368,14 @@ def mise(spec, estimator):
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_gauss_legendre(nodes):
-    """Gauss-Legendre nodes on [0, 1] and their half-weights, read-only.
-
-    Building the rule is an eigenvalue problem of size nodes; the degree
-    ladder of the acceptance-rejection diagnostic reuses one rule.
+@functools.cache
+def _unit_gauss_legendre():
+    """Read-only nodes on [0, 1] and half-weights of the 512-node Gauss-Legendre
+    rule, an eigenvalue problem of size 512: built on first use, then shared.
     """
     from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(nodes)
+    x, w = leggauss(512)
     t = 0.5 * (x + 1.0)
     half = 0.5 * w
     t.flags.writeable = False
@@ -400,10 +398,10 @@ def _bernstein_start(pdf, m):
     return values / total
 
 
-def best_mixture_approximation(pdf, m, nodes=512):
+def best_mixture_approximation(pdf, m):
     """Weights of the degree-m mixture closest to a known density.
 
-    Computes the KL projection of pdf onto the degree-m model: the
+    Computes the KL projection of pdf onto the degree-m model: the 512
     Gauss-Legendre atoms of the truth, weighted by their quadrature
     masses, take the place of observations, and the certified solver of
     the degree scan (active-set SQP, em._sqp_weighted) maximises their
@@ -426,7 +424,7 @@ def best_mixture_approximation(pdf, m, nodes=512):
     best approximation is the quantity of interest.  Raises ValueError
     when the solver stops at its step cap without that certificate.
     """
-    t, half = _unit_gauss_legendre(nodes)
+    t, half = _unit_gauss_legendre()
     problem = next(_problems((t, half * np.asarray(pdf(t), dtype=float)), None, m))
     start = _bernstein_start(pdf, m)
     if start is not None:

@@ -257,7 +257,7 @@ def test_c08_acceptance_rejection_diagnostic():
     cs, kepts = [], []
     t0 = time.time()
     for m in (4, 8, 16, 32):
-        weights = best_mixture_approximation(f, m, nodes=512)
+        weights = best_mixture_approximation(f, m)
         c, kept = bm.acceptance_rejection_diag(f, weights, n=10_000, seed=808)
         cs.append(c)
         kepts.append(kept)

@@ -201,6 +201,37 @@ class TestFit:
         assert "grid density" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rounded_fit_memory_grows_with_the_sample_not_the_grid(self, tmp_path):
+        # K = 1e11 tiled [0, 1] with 1e11 rounding cells: a 745 GiB
+        # allocation that ended in a MemoryError traceback
+        raw = tmp_path / "raw.txt"
+        write(raw, "0.25\n0.5\n0.5\n0.75\n0.125\n")
+        out = tmp_path / "m.json"
+        argv = ["fit", "--raw", str(raw), "--support", "0,1", "--rounded", "100000000000",
+                "--degree", "3", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert read_model_json(out).m == 3
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "k, support", [(str(2**52), "0,1"), ("100000000000000000", "0,1"), (str(2**51), "-2,1")]
+    )
+    def test_rounded_grid_too_fine_for_exact_cells_is_input_error(self, tmp_path, capsys, k, support):
+        raw = tmp_path / "raw.txt"
+        write(raw, "0.0\n0.1\n1.0\n")
+        out = tmp_path / "m.json"
+        argv = ["fit", "--raw", str(raw), "--support", support, "--rounded", k, "--degree", "2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "too fine" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_support_and_degrees_accept_a_leading_minus(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
         write(raw, "-0.6\n-0.2\n0.1\n0.5\n0.8\n")
@@ -660,6 +691,45 @@ class TestModelJsonRoundTrip:
         write(path, json.dumps(doc))
         assert main(["eval", "--model", str(path), "--points", "0.5"]) == 2
         assert f"{path}: degree {degree!r} is not the integer 3" in capsys.readouterr().err
+
+
+# README's input errors of a grouped CSV, one file each, with the message
+# each prints
+GROUPED_CSV_FAULTS = [
+    pytest.param("", "empty file", id="empty-file"),
+    pytest.param("lower,upper\n0,1,3\n", "header must be 'lower,upper,count'", id="header"),
+    pytest.param("lower,upper,count\n0,0.5,x\n", ":2: invalid literal", id="token"),
+    pytest.param("lower,upper,count\n0,0.5,3,1\n", ":2: expected 3 fields, got 4", id="extra-field"),
+    pytest.param("lower,upper,count\n0,inf,3\n", ":2: lower and upper must be finite", id="non-finite"),
+    pytest.param("lower,upper,count\n0,0.5,3\n0.5,1,-1\n", ":3: negative count", id="negative-count"),
+    pytest.param("lower,upper,count\n0,0.5,3\n0.5,0.5,1\n", ":3: cell has lower >= upper", id="empty-cell"),
+    pytest.param("lower,upper,count\n0.5,0.25,1\n", ":2: cell has lower >= upper", id="reversed-cell"),
+    pytest.param("lower,upper,count\n", "no data rows", id="no-rows"),
+    pytest.param("lower,upper,count\n0.5,1,3\n0,0.5,2\n", ":3: rows not sorted by lower", id="unsorted"),
+    pytest.param("lower,upper,count\n0,0.4,3\n0.5,1,4\n", ":3: cells must be contiguous", id="gap"),
+    pytest.param(
+        "lower,upper,count\n0,0.5,3\n0.5,1,99999999999999999999999\n",
+        "counts must be numbers",
+        id="count-past-int64",
+    ),
+    pytest.param(
+        f"lower,upper,count\n0,0.5,{2**62}\n0.5,1,{2**62}\n",
+        "total count must be below 2**53",
+        id="total-past-2**53",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", GROUPED_CSV_FAULTS)
+def test_grouped_csv_fault_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "g.csv"
+    write(path, text)
+    out = tmp_path / "m.json"
+    assert main(["fit", "--grouped", str(path), "--degree", "1", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["lower-bound", "--grouped", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # every file is well formed, or carries exactly one of these faults

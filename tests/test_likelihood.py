@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bernmix import (
     GroupedSample,
     RawSample,
-    RoundedSample,
     SimplexWeights,
     basis_matrix,
     beta_cdf,
@@ -19,10 +18,10 @@ from bernmix import (
     degree_elevate,
     loglik_grouped,
     loglik_raw,
-    loglik_rounded,
+    lower_bound_degree,
     rounded_to_grouped,
 )
-from bernmix.likelihood import _problems
+from bernmix.likelihood import _problem, _problems
 
 
 def cell_basis_matrix(m, unit_breakpoints):
@@ -137,42 +136,115 @@ class TestProblems:
             next(_problems((np.array([0.25, 0.75]), np.array(masses)), None, 3))
 
 
+def full_rounding_tiling(values, k, support):
+    """Every rounding cell ((i-1/2)/K, (i+1/2)/K] that meets (a, b), clipped
+    to [a, b], with its count: the rounding partition built cell by cell.
+    """
+    a, b = support
+    i_lo = int(np.floor(a * k - 0.5)) + 1
+    i_hi = int(np.ceil(b * k + 0.5)) - 1
+    edges = (np.arange(i_lo, i_hi) + 0.5) / k
+    idx = np.round(values * k).astype(int) - i_lo
+    counts = np.bincount(idx, minlength=i_hi - i_lo + 1)
+    return GroupedSample(np.concatenate(([a], edges, [b])), counts)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:  # DegenerateDataError among them
+        return type(exc)
+
+
 class TestRoundedLoglik:
     def test_half_grid_cell(self):
-        data = RoundedSample(np.full(6, 0.5), 2)
+        g = rounded_to_grouped(np.full(6, 0.5), 2, (0, 1))
         w = SimplexWeights(np.array([1.0]))
-        assert loglik_rounded(w, data, (0, 1)) == pytest.approx(6 * math.log(0.5))
+        assert loglik_grouped(w, g, (0, 1)) == pytest.approx(6 * math.log(0.5))
 
     def test_boundary_cell_clipped(self):
-        data = RoundedSample(np.zeros(4), 1)
+        g = rounded_to_grouped(np.zeros(4), 1, (0, 1))
         w = SimplexWeights(np.array([1.0]))
-        # the tiling of [0, 1] at K = 1 is (0, 0.5] and (0.5, 1]
-        assert loglik_rounded(w, data, (0, 1)) == pytest.approx(4 * math.log(0.5))
+        # the rounding cell of 0 at K = 1 is (-0.5, 0.5], clipped to (0, 0.5]
+        assert loglik_grouped(w, g, (0, 1)) == pytest.approx(4 * math.log(0.5))
 
     def test_matches_explicit_grouping(self):
         rng = np.random.default_rng(4)
         vals = np.round(rng.uniform(size=40), 1)
-        data = RoundedSample(vals, 10)
-        p = SimplexWeights(rng.dirichlet(np.ones(4)))
-        g = rounded_to_grouped(data, (0.0, 1.0))
+        g = rounded_to_grouped(vals, 10, (0.0, 1.0))
         assert g.n == 40
         assert g.breakpoints[0] == 0.0 and g.breakpoints[-1] == 1.0
-        assert loglik_rounded(p, data, (0.0, 1.0)) == loglik_grouped(p, g, (0.0, 1.0))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            RoundedSample(np.array([0.05, 0.5]), 2)
+            rounded_to_grouped(np.array([0.05, 0.5]), 2, (0, 1))
         # int(2.5) used to run K = 2 in silence
         for k in (2.5, 2.0, "2", 0):
             with pytest.raises(ValueError, match="grid density must be a positive integer"):
-                RoundedSample(np.array([0.4, 0.8]), k)
-        assert RoundedSample(np.array([0.5]), np.int64(2)).grid_density == 2
+                rounded_to_grouped(np.array([0.4, 0.8]), k, (0, 1))
+        assert rounded_to_grouped(np.array([0.5]), np.int64(2), (0, 1)).n == 1
+        for values in ([], [[0.5]]):
+            with pytest.raises(ValueError, match="nonempty 1-d vector"):
+                rounded_to_grouped(np.array(values), 2, (0, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_sample_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            RoundedSample(np.array([0.5, bad]), 10)
+            rounded_to_grouped(np.array([0.5, bad]), 10, (0, 1))
 
+    def test_value_outside_the_support_rejected(self):
+        with pytest.raises(ValueError, match=r"outside the support \[0.0, 1.0\]"):
+            rounded_to_grouped(np.array([0.5, 1.5]), 2, (0, 1))
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 37])
+    def test_populated_cells_match_the_full_tiling(self, k):
+        # the partition keeps the populated cells of the full tiling, bit for
+        # bit, and merges each run of empty cells into one; empty cells are
+        # dropped from every problem, so logliks and fits cannot tell them apart
+        rng = np.random.default_rng(k)
+        for _ in range(25):
+            a = float(rng.uniform(-2.0, 1.0))
+            support = (a, a + float(rng.uniform(1.0, 4.0)))
+            x = rng.uniform(*support, size=int(rng.integers(1, 60)))
+            vals = np.round(x * k) / k
+            vals = vals[(vals >= support[0]) & (vals <= support[1])]
+            if vals.size == 0:
+                vals = np.array([np.ceil(support[0] * k) / k])
+            new = rounded_to_grouped(vals, k, support)
+            old = full_rounding_tiling(vals, k, support)
+            assert (new.breakpoints[0], new.breakpoints[-1]) == support
+            assert not ((new.counts[:-1] == 0) & (new.counts[1:] == 0)).any()
+            assert new.n_cells <= 2 * np.count_nonzero(new.counts) + 1
+            pn, po = new.counts > 0, old.counts > 0
+            for ends in (slice(None, -1), slice(1, None)):
+                assert new.breakpoints[ends][pn].tobytes() == old.breakpoints[ends][po].tobytes()
+            np.testing.assert_array_equal(new.counts[pn], old.counts[po])
+            assert outcome(lower_bound_degree, new, support) == outcome(
+                lower_bound_degree, old, support
+            )
+            for m in (0, 3, 8):
+                a_new, w_new = _problem(new, support, m)
+                a_old, w_old = _problem(old, support, m)
+                assert a_new.tobytes() == a_old.tobytes() and w_new.tobytes() == w_old.tobytes()
+                w = SimplexWeights(rng.dirichlet(np.ones(m + 1)))
+                assert loglik_grouped(w, new, support) == loglik_grouped(w, old, support)
+
+    def test_partition_grows_with_the_sample_not_the_grid(self):
+        # the full tiling of [0, 1] at K = 1e12 has 1e12 + 1 cells; multiples
+        # of 1/1024 are multiples of 1e-12, exactly in floating point
+        vals = np.random.default_rng(5).integers(0, 1025, size=200) / 1024
+        g = rounded_to_grouped(vals, 10**12, (0.0, 1.0))
+        assert g.n == 200
+        assert g.n_cells <= 2 * 200 + 1
+        assert g.breakpoints[0] == 0.0 and g.breakpoints[-1] == 1.0
+
+    def test_grid_too_fine_for_exact_cells_rejected(self):
+        # at K max(|a|, |b|) >= 2**52 every float passes as a multiple of
+        # 1/K and i +- 1/2 is not exact: K = 1e17 counted 0.1 in (0.1, 0.2]
+        for k, support in ((2**52, (0, 1)), (10**17, (0, 1)), (10**400, (0, 1)), (2**51, (-2, 1))):
+            with pytest.raises(ValueError, match="too fine"):
+                rounded_to_grouped(np.array([0.0, 0.1, 1.0]), k, support)
+        assert rounded_to_grouped(np.array([0.0, 1.0]), 2**52 - 1, (0, 1)).n == 2
 
 class TestGroupedRawLimit:
     def test_gap_shrinks_with_finer_cells(self):

@@ -9,7 +9,6 @@ from bernmix import (
     BernsteinMixture,
     GroupedSample,
     RawSample,
-    RoundedSample,
     SimplexWeights,
     basis_matrix,
     beta_cdf,
@@ -66,7 +65,7 @@ def test_every_support_needs_finite_ordered_ends(support):
         lambda: to_unit(0.5, support),
         lambda: BernsteinMixture(w, support).pdf(1.0),
         lambda: select_degree(RawSample([0.2, 0.5, 0.7], support)),
-        lambda: rounded_to_grouped(RoundedSample([0.5, 1.0], 2), support),
+        lambda: rounded_to_grouped([0.5, 1.0], 2, support),
         lambda: lower_bound_degree(g, support),
     )
     for use in uses:
@@ -272,6 +271,20 @@ class TestGroupedSample:
         assert g.n == 7
         assert g.n_cells == 2
         np.testing.assert_allclose(g.widths, [0.5, 0.5])
+
+    @pytest.mark.parametrize("counts", [[1, 10**23, 2], ["1", "2", "3"], [None, 1, 2]])
+    def test_counts_that_are_not_numbers_rejected(self, counts):
+        # a count past int64 made an object array, which np.isfinite rejects
+        # with a TypeError
+        with pytest.raises(ValueError, match="counts must be numbers"):
+            GroupedSample([0, 1, 2, 3], counts)
+
+    def test_total_past_exact_float_counting_rejected(self):
+        # [2**62, 2**62, 4] summed to -9223372036854775804 in int64
+        for counts in ([2**62, 2**62, 4], [2**53 - 2, 1, 1], [1e300, 1.0, 1.0]):
+            with pytest.raises(ValueError, match=r"total count must be below 2\*\*53"):
+                GroupedSample([0, 1, 2, 3], counts)
+        assert GroupedSample([0, 1, 2, 3], [2**53 - 3, 1, 1]).n == 2**53 - 1
 
 
 class TestSampling:

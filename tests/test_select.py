@@ -205,6 +205,17 @@ class TestSelectDegree:
         with pytest.warns(UserWarning):
             select_degree(data, degrees=range(3, 9))
 
+    def test_default_scan_starts_below_a_bound_of_one(self):
+        # the default range started at 1 and so warned about itself when the
+        # bound was 1; it now starts at degree 0, the uniform density
+        raw = RawSample(np.random.default_rng(4).uniform(size=400))
+        for data, support in ((raw, None), (group(raw, 10), (0.0, 1.0))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = select_degree(data, support)
+            assert trace.degrees[0] == 0
+            assert trace.degrees[-1] == 31  # bound + 30, the bound being 1
+
     def test_non_consecutive_degrees_rejected(self):
         data = RawSample(np.random.default_rng(0).uniform(size=50))
         with pytest.raises(ValueError):

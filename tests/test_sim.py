@@ -361,7 +361,7 @@ class TestAcceptanceRejection:
         f = true_unit_pdf(spec_for("normal01"))
         kepts = []
         for m in (4, 8, 16):
-            w = best_mixture_approximation(f, m, nodes=256)
+            w = best_mixture_approximation(f, m)
             _, kept = acceptance_rejection_diag(f, w, n=20_000, seed=5)
             kepts.append(kept)
         assert kepts[0] < kepts[1] < kepts[2]
@@ -396,7 +396,7 @@ class TestAcceptanceRejection:
             c_sqp, _ = acceptance_rejection_diag(f, best_mixture_approximation(f, m), n=10, seed=7)
             assert c_sqp == pytest.approx(c_em, abs=1e-4)
 
-    @pytest.mark.parametrize("nodes", [256, 512])
+    @pytest.mark.parametrize("nodes", [512])  # the one rule of every population fit
     @pytest.mark.parametrize("tag", SCENARIO_TAGS)
     def test_population_fit_is_certified_on_every_truth(self, tag, nodes):
         # with a Hessian ridge scaled by the mean curvature, nn4 crawled in
@@ -406,13 +406,14 @@ class TestAcceptanceRejection:
         # its gap moves above GAP_TOL if the returned weights are not the
         # ones the solver certified
         f = true_unit_pdf(spec_for(tag))
-        t, half = _unit_gauss_legendre(nodes)
+        t, half = _unit_gauss_legendre()
+        assert t.size == nodes
         atoms = (t, half * f(t))
         for m in (4, 8, 16, 32, 64):
             uniform = _fit(_problems(atoms, None, m))
             assert uniform.converged, (m, uniform.gap)
             a, w = next(_problems(atoms, None, m))
-            for p in (best_mixture_approximation(f, m, nodes=nodes).p, uniform.weights.p):
+            for p in (best_mixture_approximation(f, m).p, uniform.weights.p):
                 assert _gap(a, w, p, a @ p) <= em.GAP_TOL, m
 
     def test_bernstein_start_moves_nothing_beyond_the_certificate(self):
@@ -420,7 +421,7 @@ class TestAcceptanceRejection:
         # agrees with the uniform start's within the two certificates, and
         # so does c_m where the optimal weights are unique to 1e-6
         f = true_unit_pdf(spec_for("normal01"))
-        t, half = _unit_gauss_legendre(512)
+        t, half = _unit_gauss_legendre()
         atoms = (t, half * f(t))
         for m in (4, 8, 16, 32):
             started = best_mixture_approximation(f, m)
@@ -447,7 +448,7 @@ class TestAcceptanceRejection:
         monkeypatch.setattr(em.np.linalg, "solve", counted)
         f = true_unit_pdf(spec_for("normal01"))
         for m in (4, 8, 16, 32):
-            best_mixture_approximation(f, m, nodes=512)
+            best_mixture_approximation(f, m)
         assert len(calls) <= 120
 
     @pytest.mark.parametrize("seed", [808, 7])
@@ -459,7 +460,7 @@ class TestAcceptanceRejection:
         grid = np.linspace(0.0, 1.0, 4001)
         fg = f(grid)
         for m in (4, 8, 16, 32):
-            w = best_mixture_approximation(f, m, nodes=512)
+            w = best_mixture_approximation(f, m)
             fm = BernsteinMixture(w).pdf
             ratios = fm(grid) / fg
             i = int(np.argmax(ratios))
